@@ -24,7 +24,7 @@ fn bench_f6(c: &mut Criterion) {
     let spec = f.db.bind(&sql).expect("bind");
     let p1 = f.db.plan_pre(&spec);
     let p2 = f.db.plan_post(&spec);
-    let best = f.db.plans(&sql).expect("plans").remove(0).plan;
+    let best = f.db.plans_for(&spec).expect("plans").remove(0).plan;
 
     let mut g = c.benchmark_group("f6_paper_query");
     g.sample_size(10);

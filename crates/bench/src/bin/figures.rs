@@ -76,7 +76,7 @@ fn exp_f6(scale: usize) -> Result<()> {
     let sql = paper_query(f.mid_date());
     let spec = f.db.bind(&sql)?;
     let plans = [f.db.plan_pre(&spec), f.db.plan_post(&spec), {
-        let mut p = f.db.plans(&sql)?.remove(0).plan;
+        let mut p = f.db.plans_for(&spec)?.remove(0).plan;
         p.label = "best".into();
         p
     }];
@@ -120,7 +120,7 @@ fn exp_d2a(scale: usize) -> Result<()> {
         let spec = f.db.bind(&sql)?;
         let p1 = measure_plan(&f.db, &sql, &f.db.plan_pre(&spec))?;
         let p2 = measure_plan(&f.db, &sql, &f.db.plan_post(&spec))?;
-        let best_plan = f.db.plans(&sql)?.remove(0).plan;
+        let best_plan = f.db.plans_for(&spec)?.remove(0).plan;
         let best = measure_plan(&f.db, &sql, &best_plan)?;
         let winner = if p1.sim_ns <= p2.sim_ns {
             "pre"
@@ -460,7 +460,7 @@ fn exp_scale(max_scale: usize) -> Result<()> {
         let spec = f.db.bind(&sql)?;
         let p1 = measure_plan(&f.db, &sql, &f.db.plan_pre(&spec))?;
         let p2 = measure_plan(&f.db, &sql, &f.db.plan_post(&spec))?;
-        let best_plan = f.db.plans(&sql)?.remove(0).plan;
+        let best_plan = f.db.plans_for(&spec)?.remove(0).plan;
         let best = measure_plan(&f.db, &sql, &best_plan)?;
         println!(
             "  {:<14} {:<13} {:<13} {:<13} {}",

@@ -69,35 +69,34 @@
 mod flight;
 mod link;
 mod session;
+mod view;
 
-use flight::{build_statement_trace, CoreMetrics, StageClock};
+use flight::CoreMetrics;
 pub use link::BusPcLink;
 pub use session::{SessionRegistry, Snapshot};
+use std::ops::Deref;
 use std::sync::Arc;
+pub use view::ReadView;
 
-use ghostdb_bus::{Bus, BusMetrics, BusTrace, Endpoint, Message};
+use ghostdb_bus::{Bus, BusMetrics};
 use ghostdb_catalog::{
-    ColumnRef, ColumnRole, ColumnStats, Histogram, Predicate, Schema, SchemaStats, TreeSchema,
+    ColumnRef, ColumnRole, ColumnStats, Histogram, Predicate, Schema, TreeSchema,
 };
-use ghostdb_exec::{
-    attach_actuals, execute, plan_nodes, render_plan, CostModel, CostedPlan, ExecContext,
-    ExecReport, Optimizer, PipelineMode, Plan, PlanNode, QuerySpec, ResultSet,
-};
+use ghostdb_exec::{execute, ExecReport, QuerySpec, ResultSet};
 use ghostdb_flash::{Nand, Volume, VolumeMetrics};
 use ghostdb_index::IndexSet;
-use ghostdb_obs::{MetricsSnapshot, Registry, Span, TraceRecorder};
+use ghostdb_obs::{MetricsSnapshot, Registry, TraceRecorder};
 use ghostdb_persist::{DeviceImage, Wal};
 use ghostdb_ram::{RamBudget, RamScope};
 use std::collections::HashMap;
 
 use ghostdb_sql::{
-    bind_delete, bind_insert, bind_schema, bind_select, bind_update, parse_statements, DeleteStmt,
-    InsertStmt, Statement, UpdateStmt,
+    bind_delete, bind_insert, bind_schema, bind_update, parse_statements, DeleteStmt, InsertStmt,
+    Statement, UpdateStmt,
 };
 use ghostdb_storage::{split_dataset, validate_row, Dataset, HiddenStore, STATS_BUCKETS};
 use ghostdb_types::{
-    format_ns, ColumnId, DataType, DeviceConfig, GhostError, Result, RowId, Sealed, SimClock,
-    TableId, Value, Wire,
+    ColumnId, DataType, DeviceConfig, GhostError, Result, RowId, SimClock, TableId, Value, Wire,
 };
 
 /// Summary of the secure bulk load.
@@ -208,35 +207,30 @@ enum BatchOrigin {
 }
 
 /// A loaded GhostDB instance (PC + device + display).
+///
+/// The whole read surface (`query`, `bind`, `plans`, `run`, `explain`,
+/// …) is [`ReadView`]'s, reached through `Deref` on the live state;
+/// this type adds the writer: DML, flushes, seal/mount, snapshots and
+/// the engine-wide reports.
 pub struct GhostDb {
-    /// Immutable after load; `Arc`ed so snapshots share them for free.
-    schema: Arc<Schema>,
-    tree: Arc<TreeSchema>,
-    config: Arc<DeviceConfig>,
-    clock: SimClock,
-    bus: Bus,
-    volume: Volume,
-    ram: RamBudget,
-    hidden: HiddenStore,
-    indexes: IndexSet,
-    stats: SchemaStats,
-    pc_link: BusPcLink,
+    /// The live read state, mutated in place by the writer methods.
+    view: ReadView,
     /// `Some` once the instance has sealed (or was mounted): inserts are
     /// write-ahead logged and delta flushes re-seal.
     durable: Option<DurableState>,
-    /// Commit epoch: bumped by every committed mutation statement and
-    /// every delta flush. Snapshots are stamped with it; equal epochs
-    /// mean identical logical state.
-    epoch: u64,
     /// Open snapshot sessions (for `device_report()` and leak checks).
     sessions: Arc<SessionRegistry>,
     /// Engine-wide metrics registry; the bus, the flash volume and the
-    /// core all register into it, snapshots share it by clone.
+    /// core all register into it.
     registry: Registry,
-    /// The flight recorder holding the last completed statement trace.
-    recorder: TraceRecorder,
-    /// Core-owned metric handles (statement latencies, pauses, gauges).
-    metrics: Arc<CoreMetrics>,
+}
+
+impl Deref for GhostDb {
+    type Target = ReadView;
+
+    fn deref(&self) -> &ReadView {
+        &self.view
+    }
 }
 
 /// Effective page-cache capacity for a device configuration: the
@@ -300,23 +294,25 @@ impl GhostDb {
         let indexes = IndexSet::build(&volume, &load_scope, &schema, &tree, data, &encoders)?;
         let pc_link = BusPcLink::new(bus.clone(), visible);
         Ok(GhostDb {
-            schema: Arc::new(schema),
-            tree: Arc::new(tree),
-            config: Arc::new(config),
-            clock,
-            bus,
-            volume,
-            ram,
-            hidden,
-            indexes,
-            stats,
-            pc_link,
+            view: ReadView {
+                schema: Arc::new(schema),
+                tree: Arc::new(tree),
+                config: Arc::new(config),
+                clock,
+                bus,
+                volume,
+                ram,
+                hidden,
+                indexes,
+                stats,
+                pc_link,
+                epoch: 0,
+                recorder: TraceRecorder::new(),
+                metrics,
+            },
             durable: None,
-            epoch: 0,
             sessions: SessionRegistry::new(),
             registry,
-            recorder: TraceRecorder::new(),
-            metrics,
         })
     }
 
@@ -373,23 +369,25 @@ impl GhostDb {
         volume.configure_page_cache(page_cache_budget(&config), &ram)?;
         let pc_link = BusPcLink::new(bus.clone(), visible);
         let mut db = GhostDb {
-            schema: Arc::new(schema),
-            tree: Arc::new(tree),
-            config: Arc::new(config),
-            clock,
-            bus,
-            volume,
-            ram,
-            hidden,
-            indexes,
-            stats,
-            pc_link,
+            view: ReadView {
+                schema: Arc::new(schema),
+                tree: Arc::new(tree),
+                config: Arc::new(config),
+                clock,
+                bus,
+                volume,
+                ram,
+                hidden,
+                indexes,
+                stats,
+                pc_link,
+                epoch: 0,
+                recorder: TraceRecorder::new(),
+                metrics,
+            },
             durable: None,
-            epoch: 0,
             sessions: SessionRegistry::new(),
             registry,
-            recorder: TraceRecorder::new(),
-            metrics,
         };
         // Replay the WAL: every fully-committed post-seal batch, in
         // order, through the normal apply path (validation included) —
@@ -426,66 +424,6 @@ impl GhostDb {
         Ok(db)
     }
 
-    /// The bound schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Tree analysis of the schema.
-    pub fn tree(&self) -> &TreeSchema {
-        &self.tree
-    }
-
-    /// Catalog statistics collected at load time.
-    pub fn stats(&self) -> &SchemaStats {
-        &self.stats
-    }
-
-    /// The hardware configuration.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.config
-    }
-
-    /// The shared simulated clock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// The device's flash volume (for space/stat reports).
-    pub fn volume(&self) -> &Volume {
-        &self.volume
-    }
-
-    /// The device RAM budget.
-    pub fn ram(&self) -> &RamBudget {
-        &self.ram
-    }
-
-    /// The device's index set.
-    pub fn indexes(&self) -> &IndexSet {
-        &self.indexes
-    }
-
-    /// The spy-visible bus trace.
-    pub fn trace(&self) -> &BusTrace {
-        self.bus.trace()
-    }
-
-    /// Forget the trace (between experiment phases).
-    pub fn clear_trace(&self) {
-        self.bus.trace().clear();
-    }
-
-    /// Demo phase 1: the pirate's view of the last transfers.
-    pub fn spy_report(&self) -> String {
-        self.bus.trace().spy_report()
-    }
-
-    /// Would a spy have seen this value on the PC ↔ device link?
-    pub fn spy_sees_value(&self, v: &Value) -> bool {
-        self.bus.trace().spy_sees_value(v)
-    }
-
     /// Run a statement script post-load: `INSERT`s mutate the database
     /// (validated per row, applied through the LSM-style deltas),
     /// `SELECT`s run with the optimizer's best plan. The paper's promise
@@ -516,19 +454,19 @@ impl GhostDb {
     }
 
     fn apply_insert(&mut self, ins: &InsertStmt) -> Result<InsertReport> {
-        let bound = bind_insert(&self.schema, ins)?;
+        let bound = bind_insert(&self.view.schema, ins)?;
         self.insert_rows(bound.table, bound.rows)
     }
 
     fn apply_delete(&mut self, del: &DeleteStmt) -> Result<MutationReport> {
-        let bound = bind_delete(&self.schema, del)?;
-        let rows = self.matching_rows(&bound.sql, bound.table, &bound.predicates)?;
+        let bound = bind_delete(&self.view.schema, del)?;
+        let rows = self.matching_rows(bound.table, &bound.predicates)?;
         self.delete_rows(bound.table, rows)
     }
 
     fn apply_update(&mut self, upd: &UpdateStmt) -> Result<MutationReport> {
-        let bound = bind_update(&self.schema, upd)?;
-        let rows = self.matching_rows(&bound.sql, bound.table, &bound.predicates)?;
+        let bound = bind_update(&self.view.schema, upd)?;
+        let rows = self.matching_rows(bound.table, &bound.predicates)?;
         self.update_rows(bound.table, rows, bound.assignments)
     }
 
@@ -541,34 +479,29 @@ impl GhostDb {
     /// Unlike a `SELECT` (posed by the PC, its text public by the
     /// paper's model), mutations enter through the **device's secure
     /// port** — the same trust path as `INSERT` — so the statement text
-    /// is *never* transmitted: an `UPDATE`'s new values and a `DELETE`'s
-    /// selection constants may name hidden values. Only the plan's
-    /// side effects cross the bus: delegated *visible* predicate
-    /// evaluations, and the row identities the mutation ends up
-    /// touching.
-    fn matching_rows(
-        &self,
-        sql: &str,
-        table: TableId,
-        predicates: &[Predicate],
-    ) -> Result<Vec<RowId>> {
+    /// is *never* transmitted (the parser does not even keep it): an
+    /// `UPDATE`'s new values and a `DELETE`'s selection constants may
+    /// name hidden values. The filter's spec therefore carries no text,
+    /// and it runs on the executor directly, not through the `Query`
+    /// frame of [`ReadView::run`]. Only the plan's side effects cross
+    /// the bus: delegated *visible* predicate evaluations, and the row
+    /// identities the mutation ends up touching.
+    fn matching_rows(&self, table: TableId, predicates: &[Predicate]) -> Result<Vec<RowId>> {
         let pk = ColumnRef {
             table,
             column: ColumnId(0),
         };
         let spec = QuerySpec::bind(
-            &self.schema,
-            &self.tree,
-            sql,
+            &self.view.schema,
+            &self.view.tree,
+            String::new(),
             vec![table],
             vec![pk],
             predicates.to_vec(),
             vec![],
         )?;
-        let opt = Optimizer::new(&self.schema, &self.tree, &self.stats, &self.config);
-        let plan = opt.best(&spec, |c| self.indexes.has_value_index(c))?;
-        let ctx = self.exec_context(PipelineMode::Blocked);
-        let (rows, _report) = execute(&ctx, &spec, &plan)?;
+        let plan = self.view.best_plan(&spec)?;
+        let (rows, _report) = execute(&self.view.exec_context(), &spec, &plan)?;
         rows.rows
             .iter()
             .map(|r| {
@@ -596,7 +529,7 @@ impl GhostDb {
         rows: Vec<RowId>,
         origin: BatchOrigin,
     ) -> Result<MutationReport> {
-        let t0 = self.clock.now();
+        let t0 = self.view.clock.now();
         let mut logical = rows;
         logical.sort_unstable();
         logical.dedup();
@@ -608,11 +541,11 @@ impl GhostDb {
                 sim_ns: 0,
             });
         }
-        let live = self.hidden.live_count(table);
+        let live = self.view.hidden.live_count(table);
         if let Some(bad) = logical.iter().find(|r| r.0 >= live) {
             return Err(GhostError::exec(format!(
                 "delete of {} row {bad}: only {live} live row(s)",
-                self.schema.table(table).name
+                self.view.schema.table(table).name
             )));
         }
         // WAL space first (logical ids survive the forced flush a full
@@ -622,25 +555,26 @@ impl GhostDb {
         // rows may be referenced by a live row of the referencing table.
         let phys: Vec<u32> = logical
             .iter()
-            .map(|r| self.hidden.select_live(table, r.0).map(|p| p.0))
+            .map(|r| self.view.hidden.select_live(table, r.0).map(|p| p.0))
             .collect::<Result<_>>()?;
         self.assert_unreferenced(table, &phys)?;
         // Tombstone on the device; announce the row identities to the PC
         // (ids only — which hidden values died stays hidden); shrink the
         // planner's live-cardinality estimates.
-        self.hidden.delete_rows_physical(table, &phys)?;
-        self.pc_link
+        self.view.hidden.delete_rows_physical(table, &phys)?;
+        self.view
+            .pc_link
             .delete_rows(table, phys.iter().map(|&p| RowId(p)).collect())?;
-        self.stats.retire_rows(table, phys.len() as u64);
+        self.view.stats.retire_rows(table, phys.len() as u64);
         self.wal_commit(record)?;
-        self.epoch += 1;
+        self.view.epoch += 1;
         let mut flushed = false;
         if origin == BatchOrigin::Live && self.over_flush_threshold() {
             self.flush_deltas()?;
             flushed = true;
         }
-        let sim_ns = self.clock.now().since(t0);
-        self.metrics.delete_latency.observe(sim_ns);
+        let sim_ns = self.view.clock.now().since(t0);
+        self.view.metrics.delete_latency.observe(sim_ns);
         Ok(MutationReport {
             table,
             rows: logical.len() as u64,
@@ -654,11 +588,11 @@ impl GhostDb {
     /// itself: `table`'s key index translates the dying ids to the
     /// parent level, and anything live there is a violation.
     fn assert_unreferenced(&self, table: TableId, phys: &[u32]) -> Result<()> {
-        let Some((parent, _)) = self.tree.parent(table) else {
+        let Some((parent, _)) = self.view.tree.parent(table) else {
             return Ok(()); // the root is referenced by nobody
         };
-        let scope = RamScope::new(&self.ram);
-        let kidx = self.indexes.key_index(table)?;
+        let scope = RamScope::new(&self.view.ram);
+        let kidx = self.view.indexes.key_index(table)?;
         let mut input = ghostdb_types::VecIdStream::new(phys.iter().map(|&p| RowId(p)).collect());
         let refs = kidx.translate(
             &scope,
@@ -666,14 +600,14 @@ impl GhostDb {
             parent,
             ghostdb_index::TRANSLATE_SORT_RAM,
         )?;
-        let mut live_refs = ghostdb_types::LiveFilter::new(refs, self.hidden.liveness(parent));
+        let mut live_refs = ghostdb_types::LiveFilter::new(refs, self.view.hidden.liveness(parent));
         use ghostdb_types::IdStream;
         if let Some(r) = live_refs.next_id()? {
             return Err(GhostError::exec(format!(
                 "delete restricted: {} row(s) are still referenced by live {} rows (e.g. row {})",
-                self.schema.table(table).name,
-                self.schema.table(parent).name,
-                self.hidden.live_rank(parent, r)
+                self.view.schema.table(table).name,
+                self.view.schema.table(parent).name,
+                self.view.hidden.live_rank(parent, r)
             )));
         }
         Ok(())
@@ -701,13 +635,13 @@ impl GhostDb {
         assignments: Vec<(ColumnId, Value)>,
         origin: BatchOrigin,
     ) -> Result<MutationReport> {
-        let t0 = self.clock.now();
+        let t0 = self.view.clock.now();
         let mut logical = rows;
         logical.sort_unstable();
         logical.dedup();
         // Validate everything before any state moves (statement
         // atomicity, like inserts).
-        let tdef = self.schema.table(table);
+        let tdef = self.view.schema.table(table);
         for (c, v) in &assignments {
             let cdef = tdef
                 .columns
@@ -742,11 +676,11 @@ impl GhostDb {
                 sim_ns: 0,
             });
         }
-        let live = self.hidden.live_count(table);
+        let live = self.view.hidden.live_count(table);
         if let Some(bad) = logical.iter().find(|r| r.0 >= live) {
             return Err(GhostError::exec(format!(
                 "update of {} row {bad}: only {live} live row(s)",
-                self.schema.table(table).name
+                self.view.schema.table(table).name
             )));
         }
         let record = self.wal_reserve(origin, || {
@@ -754,45 +688,47 @@ impl GhostDb {
         })?;
         let phys: Vec<u32> = logical
             .iter()
-            .map(|r| self.hidden.select_live(table, r.0).map(|p| p.0))
+            .map(|r| self.view.hidden.select_live(table, r.0).map(|p| p.0))
             .collect::<Result<_>>()?;
-        let scope = RamScope::new(&self.ram);
+        let scope = RamScope::new(&self.view.ram);
         for &p in &phys {
             let row = RowId(p);
             let mut visible: Vec<(ColumnId, Value)> = Vec::new();
             for (c, v) in &assignments {
-                if self.schema.table(table).columns[c.index()]
+                if self.view.schema.table(table).columns[c.index()]
                     .visibility
                     .is_hidden()
                 {
-                    let old = self.hidden.value(&scope, table, *c, row)?;
+                    let old = self.view.hidden.value(&scope, table, *c, row)?;
                     if &old == v {
                         continue; // no-op rewrite: skip index churn
                     }
                     // Overlay first (the delta dictionary must know a
                     // fresh string before the index re-posts under it).
-                    let minted = self.hidden.update_cell(table, *c, row, v)?;
-                    self.indexes.apply_update(&scope, table, *c, row, &old, v)?;
+                    let minted = self.view.hidden.update_cell(table, *c, row, v)?;
+                    self.view
+                        .indexes
+                        .apply_update(&scope, table, *c, row, &old, v)?;
                     if minted {
-                        self.stats.absorb_update(table, &[c.0]);
+                        self.view.stats.absorb_update(table, &[c.0]);
                     }
                 } else {
                     visible.push((*c, v.clone()));
                 }
             }
             if !visible.is_empty() {
-                self.pc_link.update_row(table, row, visible)?;
+                self.view.pc_link.update_row(table, row, visible)?;
             }
         }
         self.wal_commit(record)?;
-        self.epoch += 1;
+        self.view.epoch += 1;
         let mut flushed = false;
         if origin == BatchOrigin::Live && self.over_flush_threshold() {
             self.flush_deltas()?;
             flushed = true;
         }
-        let sim_ns = self.clock.now().since(t0);
-        self.metrics.update_latency.observe(sim_ns);
+        let sim_ns = self.view.clock.now().since(t0);
+        self.view.metrics.update_latency.observe(sim_ns);
         Ok(MutationReport {
             table,
             rows: logical.len() as u64,
@@ -842,7 +778,7 @@ impl GhostDb {
                 .expect("durable when a record was reserved")
                 .wal
                 .append(record)?;
-            self.metrics.wal_appends.inc();
+            self.view.metrics.wal_appends.inc();
         }
         Ok(())
     }
@@ -866,7 +802,7 @@ impl GhostDb {
         rows: Vec<Vec<Value>>,
         origin: BatchOrigin,
     ) -> Result<InsertReport> {
-        let t0 = self.clock.now();
+        let t0 = self.view.clock.now();
         if rows.is_empty() {
             return Ok(InsertReport {
                 table,
@@ -875,18 +811,24 @@ impl GhostDb {
                 sim_ns: 0,
             });
         }
-        let scope = RamScope::new(&self.ram);
+        let scope = RamScope::new(&self.view.ram);
         // Validate the WHOLE batch before applying any row, so a bad
         // statement is atomic: either every row lands or none does.
         // The user speaks the *logical* id space: row k's dense primary
         // key must be live count + k, and foreign keys address live
         // rows. (Identity with the physical space until rows die.)
         {
-            let start = self.hidden.live_count(table) as u64;
-            let hidden = &self.hidden;
+            let start = self.view.hidden.live_count(table) as u64;
+            let hidden = &self.view.hidden;
             let row_count_of = |t: TableId| hidden.live_count(t) as u64;
             for (k, values) in rows.iter().enumerate() {
-                validate_row(&self.schema, table, start + k as u64, values, &row_count_of)?;
+                validate_row(
+                    &self.view.schema,
+                    table,
+                    start + k as u64,
+                    values,
+                    &row_count_of,
+                )?;
             }
         }
         // Durable instances log the batch to the flash WAL in the same
@@ -900,7 +842,7 @@ impl GhostDb {
         // the same translation against an identically-evolved state.
         let record = self.wal_reserve(origin, || encode_insert_record(table, &rows))?;
         for values in &rows {
-            let new_id = RowId(self.hidden.row_count(table));
+            let new_id = RowId(self.view.hidden.row_count(table));
             // Everything *stored* — flash keys, postings, SKT rows, the
             // PC's columns — speaks physical ids; rewrite the row's PK
             // and FK values from the logical space the user wrote.
@@ -909,7 +851,10 @@ impl GhostDb {
             // mutation (reads may touch the SKTs' base + delta).
             let wide = self.wide_row_for(table, new_id, values, &scope)?;
             // Hidden half → device flash delta (never the bus).
-            let new_value_cols = self.hidden.append_row(&self.schema, table, values)?;
+            let new_value_cols = self
+                .view
+                .hidden
+                .append_row(&self.view.schema, table, values)?;
             // Visible half → the PC, over the (spied) bus.
             let visible: Vec<(ColumnId, Value)> = self
                 .schema
@@ -920,12 +865,12 @@ impl GhostDb {
                 .filter(|(_, c)| !c.visibility.is_hidden())
                 .map(|(ci, _)| (ColumnId(ci as u16), values[ci].clone()))
                 .collect();
-            self.pc_link.append_row(table, new_id, visible)?;
+            self.view.pc_link.append_row(table, new_id, visible)?;
             // Index maintenance at every affected level.
-            self.indexes.apply_insert(
-                &self.tree,
+            self.view.indexes.apply_insert(
+                &self.view.tree,
                 &scope,
-                &self.hidden,
+                &self.view.hidden,
                 ghostdb_index::RowInsert {
                     table,
                     id: new_id,
@@ -934,17 +879,17 @@ impl GhostDb {
                 &wide,
             )?;
             // Planner sees base + delta cardinalities immediately.
-            self.stats.absorb_row(table, &new_value_cols);
+            self.view.stats.absorb_row(table, &new_value_cols);
         }
         self.wal_commit(record)?;
-        self.epoch += 1;
+        self.view.epoch += 1;
         let mut flushed = false;
         if origin == BatchOrigin::Live && self.over_flush_threshold() {
             self.flush_deltas()?;
             flushed = true;
         }
-        let sim_ns = self.clock.now().since(t0);
-        self.metrics.insert_latency.observe(sim_ns);
+        let sim_ns = self.view.clock.now().since(t0);
+        self.view.metrics.insert_latency.observe(sim_ns);
         Ok(InsertReport {
             table,
             rows: rows.len() as u64,
@@ -956,8 +901,8 @@ impl GhostDb {
     /// Has the combined un-flushed mutation count — appended rows,
     /// tombstones, overwritten cells — reached the auto-flush threshold?
     fn over_flush_threshold(&self) -> bool {
-        let threshold = self.config.delta_flush_rows;
-        threshold > 0 && self.hidden.total_pending_mutations() >= threshold as u64
+        let threshold = self.view.config.delta_flush_rows;
+        threshold > 0 && self.view.hidden.total_pending_mutations() >= threshold as u64
     }
 
     /// Rewrite one insert row from the logical id space (what the user
@@ -965,7 +910,7 @@ impl GhostDb {
     /// the physical space everything stored speaks. Identity while
     /// nothing is dead.
     fn physical_row(&self, table: TableId, new_id: RowId, values: &[Value]) -> Result<Vec<Value>> {
-        let tdef = self.schema.table(table);
+        let tdef = self.view.schema.table(table);
         let mut out = values.to_vec();
         for (ci, cdef) in tdef.columns.iter().enumerate() {
             match cdef.role {
@@ -974,7 +919,7 @@ impl GhostDb {
                     let logical = out[ci]
                         .as_int()
                         .ok_or_else(|| GhostError::exec("non-integer foreign key in insert"))?;
-                    let phys = self.hidden.select_live(target, logical as u32)?;
+                    let phys = self.view.hidden.select_live(target, logical as u32)?;
                     out[ci] = Value::Int(phys.0 as i64);
                 }
                 ColumnRole::Attribute => {}
@@ -995,7 +940,7 @@ impl GhostDb {
     ) -> Result<HashMap<u16, RowId>> {
         let mut wide = HashMap::new();
         wide.insert(table.0, new_id);
-        for (fk_col, child) in self.schema.table(table).foreign_keys() {
+        for (fk_col, child) in self.view.schema.table(table).foreign_keys() {
             let fk = values
                 .get(fk_col.index())
                 .and_then(|v| v.as_int())
@@ -1012,11 +957,11 @@ impl GhostDb {
         scope: &RamScope,
         wide: &mut HashMap<u16, RowId>,
     ) -> Result<()> {
-        if self.tree.children(t).is_empty() {
+        if self.view.tree.children(t).is_empty() {
             wide.insert(t.0, id);
             return Ok(());
         }
-        let skt = self.indexes.skt(t)?;
+        let skt = self.view.indexes.skt(t)?;
         let row = skt.cursor(scope)?.fetch(id)?;
         for (pos, tt) in skt.table_order().iter().enumerate() {
             wide.insert(tt.0, row.ids[pos]);
@@ -1043,32 +988,38 @@ impl GhostDb {
     /// and the WAL truncates — in that order, so a power cut at any
     /// boundary mounts either the old image + full WAL or the new image.
     pub fn flush_deltas(&mut self) -> Result<u64> {
-        let t0 = self.clock.now();
+        let t0 = self.view.clock.now();
         let Some(merged) = self.merge_deltas()? else {
             return Ok(0);
         };
-        self.epoch += 1;
+        self.view.epoch += 1;
         if self.durable.is_some() {
             self.seal_image(merged)?;
         }
-        self.metrics.flush_pause.observe(self.clock.now().since(t0));
+        self.view
+            .metrics
+            .flush_pause
+            .observe(self.view.clock.now().since(t0));
         Ok(merged)
     }
 
     /// The merge alone (no re-seal): `None` when there was nothing to
     /// do, otherwise the number of delta rows merged.
     fn merge_deltas(&mut self) -> Result<Option<u64>> {
-        let delta_rows = self.hidden.total_delta_rows();
-        if self.hidden.total_pending_mutations() == 0 && self.indexes.delta_entries() == 0 {
+        let delta_rows = self.view.hidden.total_delta_rows();
+        if self.view.hidden.total_pending_mutations() == 0 && self.view.indexes.delta_entries() == 0
+        {
             return Ok(None);
         }
-        let scope = RamScope::new(&self.ram);
-        let remaps = self.hidden.flush(&scope, &self.schema)?;
-        self.indexes.flush(&scope, &self.hidden, &remaps)?;
+        let scope = RamScope::new(&self.view.ram);
+        let remaps = self.view.hidden.flush(&scope, &self.view.schema)?;
+        self.view
+            .indexes
+            .flush(&scope, &self.view.hidden, &remaps)?;
         if remaps.any_compaction() {
             // The PC drops its dead rows and renumbers in lockstep (the
             // dead sets were already announced; one frame says "now").
-            self.pc_link.compact(&self.schema)?;
+            self.view.pc_link.compact(&self.view.schema)?;
         }
         self.refresh_statistics(&scope)?;
         Ok(Some(delta_rows))
@@ -1085,13 +1036,13 @@ impl GhostDb {
     /// is a host-side maintenance pass: its working buffers are not
     /// charged to the device RAM budget.
     fn refresh_statistics(&mut self, scope: &RamScope) -> Result<()> {
-        for (ti, tdef) in self.schema.tables().iter().enumerate() {
+        for (ti, tdef) in self.view.schema.tables().iter().enumerate() {
             let table = TableId(ti as u16);
-            let rows = self.hidden.row_count(table) as u64;
+            let rows = self.view.hidden.row_count(table) as u64;
             for (ci, cdef) in tdef.columns.iter().enumerate() {
                 let column = ColumnId(ci as u16);
                 let rebuilt = if cdef.visibility.is_hidden() {
-                    let mut scan = self.hidden.key_scan(scope, table, column)?;
+                    let mut scan = self.view.hidden.key_scan(scope, table, column)?;
                     let mut keys = Vec::with_capacity(rows as usize);
                     while let Some((_, k)) = scan.next_entry()? {
                         keys.push(k);
@@ -1122,7 +1073,7 @@ impl GhostDb {
                         .collect();
                     ColumnStats::build(&values, STATS_BUCKETS)
                 };
-                if let Some(t) = self.stats.tables.get_mut(ti) {
+                if let Some(t) = self.view.stats.tables.get_mut(ti) {
                     t.rows = rows;
                     if let Some(slot) = t.columns.get_mut(ci) {
                         *slot = Some(rebuilt);
@@ -1140,16 +1091,16 @@ impl GhostDb {
     /// [`GhostDb::mount`] can rebuild this exact state from the NAND
     /// part alone.
     pub fn seal(&mut self) -> Result<SealReport> {
-        if !ghostdb_persist::durability_enabled(&self.config.flash) {
+        if !ghostdb_persist::durability_enabled(&self.view.config.flash) {
             return Err(GhostError::flash(
                 "durability disabled: FlashConfig::{meta_slot_blocks, wal_blocks} must be > 0",
             ));
         }
-        let t0 = self.clock.now();
+        let t0 = self.view.clock.now();
         let merged = self.merge_deltas()?.unwrap_or(0);
         let mut report = self.seal_image(merged)?;
-        report.sim_ns = self.clock.now().since(t0);
-        self.metrics.seal_pause.observe(report.sim_ns);
+        report.sim_ns = self.view.clock.now().since(t0);
+        self.view.metrics.seal_pause.observe(report.sim_ns);
         Ok(report)
     }
 
@@ -1169,24 +1120,24 @@ impl GhostDb {
     fn seal_image(&mut self, merged_rows: u64) -> Result<SealReport> {
         let epoch = self.durable.as_ref().map(|d| d.epoch + 1).unwrap_or(1);
         let image = DeviceImage {
-            schema: self.schema.as_ref().clone(),
-            stats: self.stats.clone(),
-            hidden: self.hidden.manifest()?,
-            indexes: self.indexes.manifest()?,
-            visible: self.pc_link.visible().clone(),
-            tombstones: (0..self.schema.table_count())
-                .map(|t| self.hidden.liveness(TableId(t as u16)).clone())
+            schema: self.view.schema.as_ref().clone(),
+            stats: self.view.stats.clone(),
+            hidden: self.view.hidden.manifest()?,
+            indexes: self.view.indexes.manifest()?,
+            visible: self.view.pc_link.visible().clone(),
+            tombstones: (0..self.view.schema.table_count())
+                .map(|t| self.view.hidden.liveness(TableId(t as u16)).clone())
                 .collect(),
-            l2p: self.volume.l2p_snapshot(),
-            bad_blocks: self.volume.nand().grown_bad_blocks(),
+            l2p: self.view.volume.l2p_snapshot(),
+            bad_blocks: self.view.volume.nand().grown_bad_blocks(),
         };
         let meta_segments = image.metadata_segment_count();
         let l2p_entries = image.l2p.len();
-        let image_bytes = ghostdb_persist::write_image(self.volume.nand(), epoch, &image)?;
-        self.volume.commit_seal()?;
+        let image_bytes = ghostdb_persist::write_image(self.view.volume.nand(), epoch, &image)?;
+        self.view.volume.commit_seal()?;
         let mut wal = match self.durable.take() {
             Some(d) => d.wal,
-            None => Wal::new(self.volume.nand().clone(), epoch),
+            None => Wal::new(self.view.volume.nand().clone(), epoch),
         };
         // Record the durable state before propagating a truncation
         // failure: the epoch-N image *is* on flash at this point, so the
@@ -1219,130 +1170,19 @@ impl GhostDb {
     /// model unplugging the key: `GhostDb::mount` rebuilds everything
     /// from it.
     pub fn nand(&self) -> &Nand {
-        self.volume.nand()
+        self.view.volume.nand()
     }
 
     /// Un-flushed delta rows across all tables (observability).
     pub fn delta_rows(&self) -> u64 {
-        self.hidden.total_delta_rows()
-    }
-
-    /// Bind a SELECT statement into an executable [`QuerySpec`].
-    pub fn bind(&self, sql: &str) -> Result<QuerySpec> {
-        bind_select_spec(&self.schema, &self.tree, sql)
-    }
-
-    fn exec_context(&self, pipeline: PipelineMode) -> ExecContext<'_> {
-        ExecContext {
-            schema: &self.schema,
-            tree: &self.tree,
-            config: &self.config,
-            clock: self.clock.clone(),
-            volume: &self.volume,
-            ram: &self.ram,
-            hidden: &self.hidden,
-            indexes: &self.indexes,
-            pc: &self.pc_link,
-            pipeline,
-        }
-    }
-
-    /// All candidate plans for a statement, cheapest first (demo phases
-    /// 2 and 3).
-    pub fn plans(&self, sql: &str) -> Result<Vec<CostedPlan>> {
-        let spec = self.bind(sql)?;
-        let opt = Optimizer::new(&self.schema, &self.tree, &self.stats, &self.config);
-        opt.plans(&spec, |c| self.indexes.has_value_index(c))
-    }
-
-    /// The canonical all-Pre-filtering plan ("P1").
-    pub fn plan_pre(&self, spec: &QuerySpec) -> Plan {
-        ghostdb_exec::plan_all_pre(spec, &self.schema, |c| self.indexes.has_value_index(c))
-    }
-
-    /// The canonical Post-filtering plan ("P2", Figure 5).
-    pub fn plan_post(&self, spec: &QuerySpec) -> Plan {
-        ghostdb_exec::plan_all_post(spec, &self.schema, |c| self.indexes.has_value_index(c))
-    }
-
-    /// Execute a statement with the optimizer's best plan.
-    ///
-    /// With the flight recorder on ([`set_tracing`](Self::set_tracing))
-    /// the statement leaves a span tree — parse → bind → plan → execute
-    /// with per-operator actuals — retrievable via
-    /// [`last_trace`](Self::last_trace). Recorder off costs one relaxed
-    /// atomic load.
-    pub fn query(&self, sql: &str) -> Result<QueryOutcome> {
-        if !self.recorder.is_enabled() {
-            let spec = self.bind(sql)?;
-            let plan = self.best_plan(&spec)?;
-            return self.run(&spec, &plan);
-        }
-        let stage = StageClock::start();
-        let stmts = parse_statements(sql)?;
-        let parse_end = stage.now_ns();
-        let spec = bind_parsed_select(&self.schema, &self.tree, &stmts)?;
-        let bind_end = stage.now_ns();
-        let plan = self.best_plan(&spec)?;
-        let plan_end = stage.now_ns();
-        let out = self.run(&spec, &plan)?;
-        self.recorder.record(build_statement_trace(
-            stmts.len() as u64,
-            parse_end,
-            bind_end,
-            plan_end,
-            stage.now_ns(),
-            &plan.label,
-            &out.report,
-        ));
-        Ok(out)
-    }
-
-    fn best_plan(&self, spec: &QuerySpec) -> Result<Plan> {
-        let opt = Optimizer::new(&self.schema, &self.tree, &self.stats, &self.config);
-        opt.best(spec, |c| self.indexes.has_value_index(c))
-    }
-
-    /// `EXPLAIN ANALYZE`: run `sql` with the optimizer's best plan, then
-    /// render the plan tree annotated with the cost model's estimated
-    /// cardinalities next to the measured actuals (rows, simulated time,
-    /// blocks pulled, gallops, Bloom probes, liveness drops). The query
-    /// really executes — its frames cross the spied bus like any
-    /// `SELECT`'s, and the annotations are counts/times/sizes only.
-    pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let spec = self.bind(sql)?;
-        let plan = self.best_plan(&spec)?;
-        let (tree, _) = self.analyze_with_plan(&spec, &plan)?;
-        Ok(render_plan(&plan.label, &tree))
-    }
-
-    /// Structured `EXPLAIN ANALYZE` for a caller-chosen plan: the
-    /// annotated [`PlanNode`] tree plus the outcome it was measured
-    /// from. This is the oracle-facing API — tests recount cardinalities
-    /// independently and compare them to the tree's actuals.
-    pub fn analyze_with_plan(
-        &self,
-        spec: &QuerySpec,
-        plan: &Plan,
-    ) -> Result<(PlanNode, QueryOutcome)> {
-        let out = self.run(spec, plan)?;
-        let cost = CostModel::new(&self.schema, &self.tree, &self.stats, &self.config);
-        let cards = cost.cardinalities(spec, plan);
-        let mut tree = plan_nodes(&self.schema, spec, plan, Some(&cards));
-        attach_actuals(&mut tree, &out.report);
-        Ok((tree, out))
+        self.view.hidden.total_delta_rows()
     }
 
     /// Turn the flight recorder on or off. Off (the default) costs one
     /// relaxed atomic load per statement; on, each `query` records a
     /// span tree over parse → bind → plan → execute.
     pub fn set_tracing(&self, on: bool) {
-        self.recorder.set_enabled(on);
-    }
-
-    /// The last completed statement trace, if tracing was on for it.
-    pub fn last_trace(&self) -> Option<Span> {
-        self.recorder.last()
+        self.view.recorder.set_enabled(on);
     }
 
     /// Refresh the point-in-time gauges and snapshot the engine-wide
@@ -1364,39 +1204,24 @@ impl GhostDb {
     }
 
     fn refresh_gauges(&self) {
-        let usage = self.volume.usage();
-        self.metrics.epoch.set(self.epoch as i64);
-        self.metrics
+        let usage = self.view.volume.usage();
+        self.view.metrics.epoch.set(self.view.epoch as i64);
+        self.view
+            .metrics
             .open_snapshots
             .set(self.sessions.open_snapshots() as i64);
-        self.metrics.flash_free_blocks.set(usage.free_blocks as i64);
-        self.metrics.flash_live_pages.set(usage.live_pages as i64);
-        self.metrics
+        self.view
+            .metrics
+            .flash_free_blocks
+            .set(usage.free_blocks as i64);
+        self.view
+            .metrics
+            .flash_live_pages
+            .set(usage.live_pages as i64);
+        self.view
+            .metrics
             .delta_rows
-            .set(self.hidden.total_delta_rows() as i64);
-    }
-
-    /// Execute a statement with a caller-chosen plan (demo phase 2/3).
-    pub fn query_with_plan(&self, sql: &str, plan: &Plan) -> Result<QueryOutcome> {
-        let spec = self.bind(sql)?;
-        self.run(&spec, plan)
-    }
-
-    /// Execute an already-bound spec with a plan.
-    pub fn run(&self, spec: &QuerySpec, plan: &Plan) -> Result<QueryOutcome> {
-        self.run_with_pipeline(spec, plan, PipelineMode::Blocked)
-    }
-
-    /// Execute with the seed's scalar (id-at-a-time) operators instead
-    /// of the blocked pipeline. Results and tuple counts must match
-    /// [`run`](Self::run) exactly; only simulated timings differ. Kept
-    /// public as the equivalence foil for tests and benchmarks.
-    ///
-    /// Routed through a throwaway [`Snapshot`] so every plan-equivalence
-    /// test that compares scalar vs blocked output also exercises the
-    /// snapshot read path end to end.
-    pub fn run_scalar(&self, spec: &QuerySpec, plan: &Plan) -> Result<QueryOutcome> {
-        self.snapshot()?.run_scalar(spec, plan)
+            .set(self.view.hidden.total_delta_rows() as i64);
     }
 
     /// Capture an immutable, epoch-stamped [`Snapshot`] of the database:
@@ -1410,62 +1235,10 @@ impl GhostDb {
         Snapshot::capture(self)
     }
 
-    /// The MVCC epoch: bumped by every committed mutation statement and
-    /// every delta flush. A [`Snapshot`] carries the epoch it saw.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Open-snapshot count across all threads (observability; also in
     /// [`device_report`](Self::device_report)).
     pub fn open_snapshots(&self) -> usize {
         self.sessions.open_snapshots()
-    }
-
-    fn run_with_pipeline(
-        &self,
-        spec: &QuerySpec,
-        plan: &Plan,
-        pipeline: PipelineMode,
-    ) -> Result<QueryOutcome> {
-        // The query text is public: the PC poses it to the device.
-        self.bus.transmit(
-            Endpoint::Pc,
-            Endpoint::Device,
-            &Message::Query {
-                sql: spec.sql.clone(),
-            },
-        )?;
-        let ctx = self.exec_context(pipeline);
-        let (rows, report) = execute(&ctx, spec, plan)?;
-        self.metrics.select_latency.observe(report.total_ns);
-        // Results exist only sealed on the device...
-        let sealed = Sealed::new(rows);
-        // ...and are opened by the secure display alone.
-        let ticket = self.bus.present(&sealed.peek_on_device().rows);
-        let rows = sealed.open(ticket);
-        Ok(QueryOutcome { rows, report })
-    }
-
-    /// Multi-line explain: the plan list with costs for a statement,
-    /// each plan rendered as the same operator tree `EXPLAIN ANALYZE`
-    /// prints (annotated with the cost model's estimated cardinalities —
-    /// no execution happens here).
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        let spec = self.bind(sql)?;
-        let plans = self.plans(sql)?;
-        let cost = CostModel::new(&self.schema, &self.tree, &self.stats, &self.config);
-        let mut out = format!("{} candidate plan(s)\n", plans.len());
-        for cp in plans.iter().take(8) {
-            let cards = cost.cardinalities(&spec, &cp.plan);
-            let tree = plan_nodes(&self.schema, &spec, &cp.plan, Some(&cards));
-            out.push_str(&format!(
-                "-- estimated {}\n{}",
-                format_ns(cp.est_ns as u64),
-                render_plan(&cp.plan.label, &tree)
-            ));
-        }
-        Ok(out)
     }
 
     /// Device-side storage report (flash occupancy, index overhead,
@@ -1476,7 +1249,7 @@ impl GhostDb {
     /// disagree.
     pub fn device_report(&self) -> String {
         let snap = self.metrics();
-        let usage = self.volume.usage();
+        let usage = self.view.volume.usage();
         let durability = match &self.durable {
             None => "unsealed (volatile until the first seal())".to_string(),
             Some(d) => format!(
@@ -1490,7 +1263,7 @@ impl GhostDb {
                 d.wal.records(),
             ),
         };
-        let rel = self.volume.reliability();
+        let rel = self.view.volume.reliability();
         let reliability = format!(
             "{} corrected read(s), {} uncorrectable, {} of {} spare block(s) used, \
              {} page(s) scrubbed, {} GC migration(s)",
@@ -1501,7 +1274,7 @@ impl GhostDb {
             rel.scrubbed_pages,
             snap.counter("ghostdb_gc_migrations_total"),
         );
-        let cache = self.volume.page_cache_stats();
+        let cache = self.view.volume.page_cache_stats();
         let cache_line = if cache.capacity_pages == 0 {
             "disabled".to_string()
         } else {
@@ -1516,11 +1289,11 @@ impl GhostDb {
                 snap.counter("ghostdb_page_cache_evictions_total"),
             )
         };
-        let pins = self.volume.pin_stats();
+        let pins = self.view.volume.pin_stats();
         let sessions = format!(
             "epoch {}, {}; {} page(s) pinned by snapshots ({} free(s) deferred), \
              {} sealed-image pin(s) ({} free(s) deferred)",
-            self.epoch,
+            self.view.epoch,
             self.sessions.describe(),
             pins.snapshot_pinned,
             pins.snapshot_deferred,
@@ -1534,7 +1307,7 @@ impl GhostDb {
             usage.total_blocks,
             snap.gauge("ghostdb_flash_live_pages"),
             cache_line,
-            self.indexes.describe(),
+            self.view.indexes.describe(),
             durability,
             sessions,
             reliability,
@@ -1550,8 +1323,8 @@ impl GhostDb {
     /// future work). Surfacing the split here is what lets an operator
     /// see that budget being spent.
     pub fn wear_report(&self) -> String {
-        let wear = self.volume.nand().wear_snapshot();
-        let cfg = &self.config.flash;
+        let wear = self.view.volume.nand().wear_snapshot();
+        let cfg = &self.view.config.flash;
         let seg = |range: std::ops::Range<usize>| -> String {
             let s = &wear[range];
             if s.is_empty() {
@@ -1574,40 +1347,6 @@ impl GhostDb {
             seg(reserved..wear.len()),
         )
     }
-}
-
-/// Bind a SELECT statement against a schema + tree — shared by
-/// [`GhostDb::bind`] and [`Snapshot::bind`].
-pub(crate) fn bind_select_spec(schema: &Schema, tree: &TreeSchema, sql: &str) -> Result<QuerySpec> {
-    let stmts = parse_statements(sql)?;
-    bind_parsed_select(schema, tree, &stmts)
-}
-
-/// The bind half of [`bind_select_spec`], over already-parsed
-/// statements — the traced query path times parse and bind separately.
-pub(crate) fn bind_parsed_select(
-    schema: &Schema,
-    tree: &TreeSchema,
-    stmts: &[Statement],
-) -> Result<QuerySpec> {
-    let sel = stmts
-        .iter()
-        .find_map(|s| match s {
-            Statement::Select(sel) | Statement::ExplainAnalyze(sel) => Some(sel),
-            _ => None,
-        })
-        .ok_or_else(|| GhostError::sql("expected a SELECT statement"))?;
-    let bound = bind_select(schema, tree, sel)?;
-    QuerySpec::bind(
-        schema,
-        tree,
-        bound.sql,
-        bound.tables,
-        bound.projections,
-        bound.predicates,
-        bound.joins,
-    )?
-    .with_analytics(schema, &bound.analytics)
 }
 
 /// A decoded WAL record: one committed mutation batch. All three kinds
@@ -1868,7 +1607,7 @@ mod tests {
         // Per-operator spans ride under execute, with their actuals.
         assert!(exec.children.iter().any(|c| c.name == "project"));
         db.set_tracing(false);
-        db.recorder.clear();
+        db.view.recorder.clear();
     }
 
     #[test]
@@ -2034,11 +1773,11 @@ mod tests {
             for sql in &queries {
                 let expect = fresh.query(sql).unwrap().rows.rows;
                 let spec = db.bind(sql).unwrap();
-                for cp in db.plans(sql).unwrap() {
+                for cp in db.plans_for(&spec).unwrap() {
                     let got = db.run(&spec, &cp.plan).unwrap();
                     assert_eq!(got.rows.rows, expect, "{phase}/blocked: {sql}");
-                    let got = db.run_scalar(&spec, &cp.plan).unwrap();
-                    assert_eq!(got.rows.rows, expect, "{phase}/scalar: {sql}");
+                    let got = db.snapshot().unwrap().run(&spec, &cp.plan).unwrap();
+                    assert_eq!(got.rows.rows, expect, "{phase}/snapshot: {sql}");
                 }
             }
         };

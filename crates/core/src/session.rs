@@ -3,7 +3,8 @@
 //!
 //! The engine is already MVCC-shaped — immutable flash bases, bounded
 //! RAM deltas, tombstone [`LiveSet`]s — so a consistent read view is
-//! nearly free to capture:
+//! nearly free to capture. A snapshot is the engine's own [`ReadView`]
+//! forked (`ReadView::fork`) plus the page pins that keep it valid:
 //!
 //! * the **flash bases** are shared by reference (segment page lists
 //!   are `Arc`ed; nothing rewrites a sealed segment in place);
@@ -46,26 +47,15 @@
 //! [`LiveSet`]: ghostdb_types::LiveSet
 //! [`DeviceConfig::delta_flush_rows`]: ghostdb_types::DeviceConfig::delta_flush_rows
 //! [`Volume::pin_pages`]: ghostdb_flash::Volume::pin_pages
+//! [`RamBudget`]: ghostdb_ram::RamBudget
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
-use ghostdb_bus::{Bus, Endpoint, Message};
-use ghostdb_catalog::{Schema, SchemaStats, TreeSchema};
-use ghostdb_exec::{
-    attach_actuals, execute, plan_nodes, render_plan, CostModel, CostedPlan, Optimizer,
-    PipelineMode, Plan, PlanNode, QuerySpec,
-};
-use ghostdb_flash::Volume;
-use ghostdb_index::IndexSet;
-use ghostdb_obs::{Span, TraceRecorder};
-use ghostdb_ram::RamBudget;
-use ghostdb_sql::parse_statements;
-use ghostdb_storage::HiddenStore;
-use ghostdb_types::{format_ns, DeviceConfig, Result, Sealed, SimClock};
+use ghostdb_types::Result;
 
-use crate::flight::{build_statement_trace, CoreMetrics, StageClock};
-use crate::{BusPcLink, GhostDb, QueryOutcome};
+use crate::{GhostDb, ReadView};
 
 /// Registry of open snapshot sessions, shared between the writer (for
 /// `device_report()`) and every snapshot (which deregisters itself on
@@ -138,77 +128,39 @@ impl SessionRegistry {
 /// concurrent inserts, deletes, updates, and even flushes by the
 /// writer never show through (snapshot isolation). It is `Send + Sync`
 /// and carries its own device RAM slice; hand one to each reader
-/// thread and run [`query`](Snapshot::query) freely. Dropping it
+/// thread and run [`query`](ReadView::query) freely — the whole read
+/// surface is [`ReadView`]'s, reached through `Deref`. Dropping it
 /// unpins its base segments, letting a flush that outpaced it finally
 /// retire them.
 pub struct Snapshot {
-    epoch: u64,
-    schema: Arc<Schema>,
-    tree: Arc<TreeSchema>,
-    config: Arc<DeviceConfig>,
-    clock: SimClock,
-    bus: Bus,
-    volume: Volume,
-    /// This session's device RAM slice.
-    ram: RamBudget,
-    /// Frozen hidden store: shared flash bases + copied deltas.
-    hidden: HiddenStore,
-    /// Frozen index set: shared flash bases + copied deltas.
-    indexes: IndexSet,
-    /// Planner statistics as of the capture epoch.
-    stats: SchemaStats,
-    /// This session's PC endpoint over the shared bus, with the
-    /// visible store as of the capture epoch.
-    pc_link: BusPcLink,
+    /// The forked read state as of the capture epoch.
+    view: ReadView,
     /// Base LPNs pinned in the volume until drop.
     pinned: Vec<u32>,
     session_id: u64,
     registry: Arc<SessionRegistry>,
-    /// The engine's flight recorder (shared — snapshot traces land in
-    /// the same slot `GhostDb::last_trace` reads).
-    recorder: TraceRecorder,
-    /// The engine's metric handles (shared — snapshot reads observe
-    /// into the same statement-latency histograms).
-    metrics: Arc<CoreMetrics>,
 }
 
 impl Snapshot {
-    /// Capture the current state of `db` (see [`GhostDb::snapshot`]).
+    /// Capture the current state of `db` (see [`GhostDb::snapshot`]):
+    /// clone the read state, pin its pages.
     pub(crate) fn capture(db: &GhostDb) -> Result<Snapshot> {
         // `&db` here and `&mut db` in every writer method: the borrow
         // checker is the capture lock.
+        let view = db.fork();
         let mut pinned = Vec::new();
-        db.hidden.collect_lpns(&mut pinned);
-        db.indexes.collect_lpns(&mut pinned);
+        view.hidden.collect_lpns(&mut pinned);
+        view.indexes.collect_lpns(&mut pinned);
         pinned.sort_unstable();
         pinned.dedup();
-        db.volume.pin_pages(&pinned)?;
-        let session_id = db.sessions.register(db.epoch, pinned.len());
+        view.volume.pin_pages(&pinned)?;
+        let session_id = db.sessions.register(view.epoch, pinned.len());
         Ok(Snapshot {
-            epoch: db.epoch,
-            schema: db.schema.clone(),
-            tree: db.tree.clone(),
-            config: db.config.clone(),
-            clock: db.clock.clone(),
-            bus: db.bus.clone(),
-            volume: db.volume.clone(),
-            ram: RamBudget::new(db.config.ram_bytes),
-            hidden: db.hidden.clone(),
-            indexes: db.indexes.clone(),
-            stats: db.stats.clone(),
-            pc_link: BusPcLink::new(db.bus.clone(), db.pc_link.visible().clone()),
+            view,
             pinned,
             session_id,
             registry: db.sessions.clone(),
-            recorder: db.recorder.clone(),
-            metrics: db.metrics.clone(),
         })
-    }
-
-    /// The commit epoch this snapshot captured. Every query answers
-    /// against exactly this state.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Base pages this snapshot pins in the volume (observability; the
@@ -216,176 +168,13 @@ impl Snapshot {
     pub fn pinned_pages(&self) -> usize {
         self.pinned.len()
     }
+}
 
-    /// The bound schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
+impl Deref for Snapshot {
+    type Target = ReadView;
 
-    /// Tree analysis of the schema.
-    pub fn tree(&self) -> &TreeSchema {
-        &self.tree
-    }
-
-    /// Bind a SELECT statement into an executable [`QuerySpec`].
-    pub fn bind(&self, sql: &str) -> Result<QuerySpec> {
-        crate::bind_select_spec(&self.schema, &self.tree, sql)
-    }
-
-    /// All candidate plans for a statement, cheapest first.
-    pub fn plans(&self, sql: &str) -> Result<Vec<CostedPlan>> {
-        let spec = self.bind(sql)?;
-        let opt = Optimizer::new(&self.schema, &self.tree, &self.stats, &self.config);
-        opt.plans(&spec, |c| self.indexes.has_value_index(c))
-    }
-
-    /// The canonical all-Pre-filtering plan ("P1").
-    pub fn plan_pre(&self, spec: &QuerySpec) -> Plan {
-        ghostdb_exec::plan_all_pre(spec, &self.schema, |c| self.indexes.has_value_index(c))
-    }
-
-    /// The canonical Post-filtering plan ("P2").
-    pub fn plan_post(&self, spec: &QuerySpec) -> Plan {
-        ghostdb_exec::plan_all_post(spec, &self.schema, |c| self.indexes.has_value_index(c))
-    }
-
-    /// Execute a statement with the optimizer's best plan, against
-    /// this snapshot's epoch.
-    ///
-    /// With the shared flight recorder on (the engine's
-    /// [`GhostDb::set_tracing`]) the statement records the same span
-    /// tree a writer-side `query` would.
-    pub fn query(&self, sql: &str) -> Result<QueryOutcome> {
-        if !self.recorder.is_enabled() {
-            let spec = self.bind(sql)?;
-            let plan = self.best_plan(&spec)?;
-            return self.run(&spec, &plan);
-        }
-        let stage = StageClock::start();
-        let stmts = parse_statements(sql)?;
-        let parse_end = stage.now_ns();
-        let spec = crate::bind_parsed_select(&self.schema, &self.tree, &stmts)?;
-        let bind_end = stage.now_ns();
-        let plan = self.best_plan(&spec)?;
-        let plan_end = stage.now_ns();
-        let out = self.run(&spec, &plan)?;
-        self.recorder.record(build_statement_trace(
-            stmts.len() as u64,
-            parse_end,
-            bind_end,
-            plan_end,
-            stage.now_ns(),
-            &plan.label,
-            &out.report,
-        ));
-        Ok(out)
-    }
-
-    fn best_plan(&self, spec: &QuerySpec) -> Result<Plan> {
-        let opt = Optimizer::new(&self.schema, &self.tree, &self.stats, &self.config);
-        opt.best(spec, |c| self.indexes.has_value_index(c))
-    }
-
-    /// `EXPLAIN ANALYZE` against this snapshot's epoch (see
-    /// [`GhostDb::explain_analyze`]).
-    pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let spec = self.bind(sql)?;
-        let plan = self.best_plan(&spec)?;
-        let (tree, _) = self.analyze_with_plan(&spec, &plan)?;
-        Ok(render_plan(&plan.label, &tree))
-    }
-
-    /// Structured `EXPLAIN ANALYZE` for a caller-chosen plan (see
-    /// [`GhostDb::analyze_with_plan`]).
-    pub fn analyze_with_plan(
-        &self,
-        spec: &QuerySpec,
-        plan: &Plan,
-    ) -> Result<(PlanNode, QueryOutcome)> {
-        let out = self.run(spec, plan)?;
-        let cost = CostModel::new(&self.schema, &self.tree, &self.stats, &self.config);
-        let cards = cost.cardinalities(spec, plan);
-        let mut tree = plan_nodes(&self.schema, spec, plan, Some(&cards));
-        attach_actuals(&mut tree, &out.report);
-        Ok((tree, out))
-    }
-
-    /// The last completed statement trace, if tracing was on for it
-    /// (the slot is shared with the engine).
-    pub fn last_trace(&self) -> Option<Span> {
-        self.recorder.last()
-    }
-
-    /// Execute a statement with a caller-chosen plan.
-    pub fn query_with_plan(&self, sql: &str, plan: &Plan) -> Result<QueryOutcome> {
-        let spec = self.bind(sql)?;
-        self.run(&spec, plan)
-    }
-
-    /// Execute an already-bound spec with a plan.
-    pub fn run(&self, spec: &QuerySpec, plan: &Plan) -> Result<QueryOutcome> {
-        self.run_with_pipeline(spec, plan, PipelineMode::Blocked)
-    }
-
-    /// Execute with the seed's scalar (id-at-a-time) operators — the
-    /// equivalence foil, on the snapshot path.
-    pub fn run_scalar(&self, spec: &QuerySpec, plan: &Plan) -> Result<QueryOutcome> {
-        self.run_with_pipeline(spec, plan, PipelineMode::Scalar)
-    }
-
-    fn run_with_pipeline(
-        &self,
-        spec: &QuerySpec,
-        plan: &Plan,
-        pipeline: PipelineMode,
-    ) -> Result<QueryOutcome> {
-        // The query text is public: the PC poses it to the device.
-        self.bus.transmit(
-            Endpoint::Pc,
-            Endpoint::Device,
-            &Message::Query {
-                sql: spec.sql.clone(),
-            },
-        )?;
-        let ctx = ghostdb_exec::ExecContext {
-            schema: &self.schema,
-            tree: &self.tree,
-            config: &self.config,
-            clock: self.clock.clone(),
-            volume: &self.volume,
-            ram: &self.ram,
-            hidden: &self.hidden,
-            indexes: &self.indexes,
-            pc: &self.pc_link,
-            pipeline,
-        };
-        let (rows, report) = execute(&ctx, spec, plan)?;
-        self.metrics.select_latency.observe(report.total_ns);
-        // Results exist only sealed on the device...
-        let sealed = Sealed::new(rows);
-        // ...and are opened by the secure display alone.
-        let ticket = self.bus.present(&sealed.peek_on_device().rows);
-        let rows = sealed.open(ticket);
-        Ok(QueryOutcome { rows, report })
-    }
-
-    /// Multi-line explain: the plan list with costs for a statement,
-    /// rendered as the same operator tree `EXPLAIN ANALYZE` prints.
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        let spec = self.bind(sql)?;
-        let plans = self.plans(sql)?;
-        let cost = CostModel::new(&self.schema, &self.tree, &self.stats, &self.config);
-        let mut out = format!("{} candidate plan(s)\n", plans.len());
-        for cp in plans.iter().take(8) {
-            let cards = cost.cardinalities(&spec, &cp.plan);
-            let tree = plan_nodes(&self.schema, &spec, &cp.plan, Some(&cards));
-            out.push_str(&format!(
-                "-- estimated {}\n{}",
-                format_ns(cp.est_ns as u64),
-                render_plan(&cp.plan.label, &tree)
-            ));
-        }
-        Ok(out)
+    fn deref(&self) -> &ReadView {
+        &self.view
     }
 }
 
@@ -394,7 +183,7 @@ impl Drop for Snapshot {
         // Releases any segment the writer freed while this snapshot
         // held it; errors cannot surface from a destructor, and the
         // pin set was validated at capture.
-        let _ = self.volume.unpin_pages(&self.pinned);
+        let _ = self.view.volume.unpin_pages(&self.pinned);
         self.registry.deregister(self.session_id);
     }
 }
@@ -402,7 +191,7 @@ impl Drop for Snapshot {
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")
-            .field("epoch", &self.epoch)
+            .field("epoch", &self.view.epoch)
             .field("pinned_pages", &self.pinned.len())
             .field("session_id", &self.session_id)
             .finish_non_exhaustive()

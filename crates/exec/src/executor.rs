@@ -39,10 +39,13 @@
 //!    early.
 //!
 //! Every stage records the demo's per-operator statistics (tuples, RAM,
-//! simulated time). [`PipelineMode::Scalar`] re-runs the same plan with
-//! the seed's id-at-a-time operators (the default `IdStream` method
-//! bodies); both modes must produce byte-identical results and identical
-//! tuple counts — `tests/properties.rs` proves it on random plans.
+//! simulated time). The id-at-a-time operators
+//! ([`ScalarMergeIntersect`](crate::ScalarMergeIntersect),
+//! `ScalarFallback`) are standalone references for operator-level tests
+//! and benchmarks; the executor never wires them in. Plan-level
+//! correctness is checked against independent oracles
+//! (`workload::reference_execute`, fresh-load mirrors, and the
+//! `EXPLAIN ANALYZE` recount in `tests/observability.rs`).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,30 +58,17 @@ use ghostdb_index::{IndexSet, TRANSLATE_SORT_RAM};
 use ghostdb_ram::{RamBudget, RamScope};
 use ghostdb_storage::{HiddenStore, KeyRange};
 use ghostdb_types::{
-    ColumnId, DeviceConfig, GhostError, IdBlock, IdStream, LiveFilter, Result, RowId,
-    ScalarFallback, SimClock, TableId, Value, BLOCK_CAP,
+    ColumnId, DeviceConfig, GhostError, IdBlock, IdStream, LiveFilter, Result, RowId, SimClock,
+    TableId, Value, BLOCK_CAP,
 };
 
 use crate::agg::Epilogue;
-use crate::ops::{FullScanSource, MergeIntersect, ScalarMergeIntersect};
+use crate::ops::{FullScanSource, MergeIntersect};
 use crate::pc::PcLink;
 use crate::plan::{Plan, PostStep, Source};
 use crate::query::QuerySpec;
 use crate::stats::{ExecReport, OpStats, ResultSet};
 use crate::temp::{IdTemp, TempProber, VisibleTemp};
-
-/// Which operator implementations the executor wires together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PipelineMode {
-    /// Block-at-a-time pull with galloping merges and batched Bloom
-    /// charges (the production path).
-    #[default]
-    Blocked,
-    /// The seed's id-at-a-time operators, kept as the correctness foil
-    /// and benchmark baseline: every stream is forced through the
-    /// default scalar `IdStream` methods.
-    Scalar,
-}
 
 /// Everything the executor needs about one device + PC pairing.
 pub struct ExecContext<'a> {
@@ -100,9 +90,6 @@ pub struct ExecContext<'a> {
     pub indexes: &'a IndexSet,
     /// Handle to the untrusted PC.
     pub pc: &'a dyn PcLink,
-    /// Operator implementation choice (blocked unless a verification
-    /// pass asks for the scalar foil).
-    pub pipeline: PipelineMode,
 }
 
 impl ExecContext<'_> {
@@ -229,23 +216,16 @@ impl<'b> BatchedBloomFill<'b> {
     }
 }
 
-/// The merge operator for the context's pipeline mode.
+/// The galloping block merge-intersect over `inputs`.
 fn make_merge<'a>(
     ctx: &ExecContext<'_>,
     inputs: Vec<Box<dyn IdStream + 'a>>,
 ) -> Box<dyn IdStream + 'a> {
-    match ctx.pipeline {
-        PipelineMode::Blocked => Box::new(MergeIntersect::new(
-            inputs,
-            ctx.clock.clone(),
-            ctx.config.cpu.tuple_op_ns,
-        )),
-        PipelineMode::Scalar => Box::new(ScalarMergeIntersect::new(
-            inputs,
-            ctx.clock.clone(),
-            ctx.config.cpu.tuple_op_ns,
-        )),
-    }
+    Box::new(MergeIntersect::new(
+        inputs,
+        ctx.clock.clone(),
+        ctx.config.cpu.tuple_op_ns,
+    ))
 }
 
 /// Execute `plan` for `spec` and return results plus the report.
@@ -1096,11 +1076,6 @@ fn build_source<'a>(
         }
     };
     let setup_ns = ctx.clock.now().since(t0);
-    // The scalar foil: strip every stream down to id-at-a-time pulls.
-    let stream: Box<dyn IdStream + 'a> = match ctx.pipeline {
-        PipelineMode::Blocked => stream,
-        PipelineMode::Scalar => Box::new(ScalarFallback(stream)),
-    };
     let meter = Arc::new(StreamMeter::default());
     Ok(BuiltSource {
         stream: Box::new(Timed {

@@ -50,7 +50,7 @@ pub use baseline::{
     climbing_translate_count, grace_hash_join_count, join_index_count, BaselineReport,
 };
 pub use cost::{CostModel, PlanCardinalities};
-pub use executor::{execute, ExecContext, PipelineMode};
+pub use executor::{execute, ExecContext};
 pub use ops::{FullScanSource, MergeIntersect, ScalarMergeIntersect};
 pub use optimizer::{enumerate_plans, plan_all_post, plan_all_pre, CostedPlan, Optimizer};
 pub use pc::{PairStream, PcLink, VecPairStream};

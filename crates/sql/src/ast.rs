@@ -171,8 +171,6 @@ pub struct InsertStmt {
 /// joins).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeleteStmt {
-    /// Original statement text (disclosed on the bus like a query's).
-    pub text: String,
     /// Target table.
     pub table: String,
     /// Conjuncts of the `WHERE` clause (empty = delete every row).
@@ -182,8 +180,6 @@ pub struct DeleteStmt {
 /// An `UPDATE` statement (same `WHERE` shape as [`DeleteStmt`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateStmt {
-    /// Original statement text.
-    pub text: String,
     /// Target table.
     pub table: String,
     /// `SET column = literal` assignments, in statement order.

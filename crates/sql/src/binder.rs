@@ -191,8 +191,6 @@ pub fn coerce_literal(lit: &Literal, ty: DataType) -> Result<Value> {
 /// planner/executor — a delete is a query that ends in a mutation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundDelete {
-    /// Original statement text.
-    pub sql: String,
     /// Target table.
     pub table: TableId,
     /// Conjunctive predicates (empty = every row).
@@ -203,8 +201,6 @@ pub struct BoundDelete {
 /// [`BoundDelete`], plus the coerced assignments).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundUpdate {
-    /// Original statement text.
-    pub sql: String,
     /// Target table.
     pub table: TableId,
     /// `(column, new value)` assignments, literals coerced.
@@ -265,7 +261,6 @@ fn bind_mutation_filter(
 pub fn bind_delete(schema: &Schema, stmt: &DeleteStmt) -> Result<BoundDelete> {
     let table = schema.resolve_table(&stmt.table)?;
     Ok(BoundDelete {
-        sql: stmt.text.clone(),
         table,
         predicates: bind_mutation_filter(schema, table, &stmt.where_atoms)?,
     })
@@ -309,7 +304,6 @@ pub fn bind_update(schema: &Schema, stmt: &UpdateStmt) -> Result<BoundUpdate> {
         return Err(GhostError::sql("UPDATE with no SET assignments"));
     }
     Ok(BoundUpdate {
-        sql: stmt.text.clone(),
         table,
         assignments,
         predicates: bind_mutation_filter(schema, table, &stmt.where_atoms)?,

@@ -85,15 +85,9 @@ impl<'a> Parser<'a> {
             self.create_table().map(Statement::CreateTable)
         } else if self.at_kw("SELECT") {
             self.select().map(Statement::Select)
-        } else if self.at_kw("EXPLAIN") {
-            self.kw("EXPLAIN")?;
+        } else if self.eat_kw("EXPLAIN") {
             self.kw("ANALYZE")?;
-            // Record only the SELECT itself as the statement text: it is
-            // what actually executes (and crosses the spied bus).
-            let start = self.here();
-            let mut sel = self.select()?;
-            sel.text = self.text[start..].trim().to_string();
-            Ok(Statement::ExplainAnalyze(sel))
+            self.select().map(Statement::ExplainAnalyze)
         } else if self.at_kw("INSERT") {
             self.insert().map(Statement::Insert)
         } else if self.at_kw("DELETE") {
@@ -172,7 +166,6 @@ impl<'a> Parser<'a> {
                 other => return Err(self.err(format!("expected , or ) found {other:?}"))),
             }
         }
-        let _ = self.eat_semi();
         Ok(CreateTable { name, columns })
     }
 
@@ -235,7 +228,11 @@ impl<'a> Parser<'a> {
         Ok(SelectItem::Column(self.qual_col()?))
     }
 
+    /// A SELECT, whose text is its own token span — never the rest of
+    /// the script: that text is what crosses the spied bus, and the
+    /// statements around it may be mutations naming hidden values.
     fn select(&mut self) -> Result<SelectStmt> {
+        let start = self.here();
         self.kw("SELECT")?;
         let mut items = Vec::new();
         loop {
@@ -325,9 +322,8 @@ impl<'a> Parser<'a> {
         } else {
             None
         };
-        let _ = self.eat_semi();
         Ok(SelectStmt {
-            text: self.text.to_string(),
+            text: self.text[start..self.here()].trim().to_string(),
             items,
             from,
             where_atoms,
@@ -395,7 +391,6 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let _ = self.eat_semi();
         Ok(InsertStmt { table, rows })
     }
 
@@ -418,12 +413,7 @@ impl<'a> Parser<'a> {
         self.kw("FROM")?;
         let table = self.ident()?;
         let where_atoms = self.where_clause()?;
-        let _ = self.eat_semi();
-        Ok(DeleteStmt {
-            text: self.text.to_string(),
-            table,
-            where_atoms,
-        })
+        Ok(DeleteStmt { table, where_atoms })
     }
 
     fn update(&mut self) -> Result<UpdateStmt> {
@@ -442,9 +432,7 @@ impl<'a> Parser<'a> {
             }
         }
         let where_atoms = self.where_clause()?;
-        let _ = self.eat_semi();
         Ok(UpdateStmt {
-            text: self.text.to_string(),
             table,
             assignments,
             where_atoms,
@@ -546,6 +534,20 @@ mod tests {
 
         // ANALYZE is mandatory (plain EXPLAIN is the explain() API).
         assert!(parse_statements("EXPLAIN SELECT Date FROM Visit;").is_err());
+    }
+
+    #[test]
+    fn select_text_is_its_own_span() {
+        let stmts = parse_statements(
+            "UPDATE T SET c = 'secret' WHERE k = 1; SELECT T.c FROM T ;\n\
+             EXPLAIN ANALYZE SELECT U.d FROM U /*trailing*/;",
+        )
+        .unwrap();
+        let (Statement::Select(a), Statement::ExplainAnalyze(b)) = (&stmts[1], &stmts[2]) else {
+            panic!("unexpected statements {stmts:?}")
+        };
+        assert_eq!(a.text, "SELECT T.c FROM T");
+        assert_eq!(b.text, "SELECT U.d FROM U /*trailing*/");
     }
 
     #[test]

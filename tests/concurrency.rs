@@ -217,7 +217,7 @@ fn reader(
                 let want = oracle.query(sql).unwrap().rows.rows;
                 assert_eq!(got, want, "epoch {epoch}: {sql}");
             }
-            // Explicit plans exercise both pipelines over the snapshot.
+            // Explicit plans: P1 and P2 over the snapshot must agree.
             let spec = snap.bind(QUERIES[1]).unwrap();
             let pre = snap
                 .query_with_plan(QUERIES[1], &snap.plan_pre(&spec))
@@ -226,8 +226,6 @@ fn reader(
                 .query_with_plan(QUERIES[1], &snap.plan_post(&spec))
                 .unwrap();
             assert_eq!(pre.rows.rows, post.rows.rows, "epoch {epoch}: P1 vs P2");
-            let scalar = snap.run_scalar(&spec, &snap.plan_pre(&spec)).unwrap();
-            assert_eq!(scalar.rows.rows, pre.rows.rows, "epoch {epoch}: scalar");
             served += 1;
         }
         served

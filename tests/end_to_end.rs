@@ -4,7 +4,8 @@
 mod common;
 
 use common::{assert_matches_reference, medical_db_with_data};
-use ghostdb_types::Date;
+use ghostdb::ExecOutcome;
+use ghostdb_types::{Date, GhostError, Value};
 use ghostdb_workload::paper_query;
 
 #[test]
@@ -154,4 +155,56 @@ fn sql_errors_are_reported() {
                 WHERE Vis.Purpose = 'Checkup'"
         )
         .is_err());
+}
+
+/// Each SELECT of a multi-statement script answers its own statement,
+/// not the first one in the script.
+#[test]
+fn script_selects_answer_their_own_statement() {
+    let (mut db, _cfg) = common::medical_db(300);
+    let pre = "SELECT COUNT(*) FROM Prescription Pre";
+    let vis = "SELECT COUNT(*) FROM Visit Vis";
+    let want_vis = db.query(vis).unwrap().rows.rows;
+    assert_ne!(want_vis, vec![vec![Value::Int(300)]]);
+    let out = db.execute(&format!("{pre}; {vis}")).unwrap();
+    let rows: Vec<_> = out
+        .into_iter()
+        .map(|o| match o {
+            ExecOutcome::Query(q) => q.rows.rows,
+            other => panic!("expected query outcomes, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(rows, vec![vec![vec![Value::Int(300)]], want_vis]);
+}
+
+/// The read surface takes exactly one SELECT: a script (which would
+/// silently skip its DML) or an `EXPLAIN ANALYZE` (which would return
+/// rows instead of a plan) is a clean SQL error, on the live handle and
+/// on a snapshot alike — and the skipped DELETE really never ran.
+#[test]
+fn read_handles_take_exactly_one_select() {
+    let (db, _cfg) = common::medical_db(300);
+    let snap = db.snapshot().unwrap();
+    let count = "SELECT COUNT(*) FROM Prescription Pre";
+    let rejected = [
+        format!("DELETE FROM Prescription WHERE Quantity >= 0; {count}"),
+        format!("{count}; {count}"),
+        format!("EXPLAIN ANALYZE {count}"),
+    ];
+    for sql in &rejected {
+        for (handle, result) in [("db", db.query(sql)), ("snapshot", snap.query(sql))] {
+            assert!(
+                matches!(result, Err(GhostError::Sql { .. })),
+                "{handle}.query({sql:?}) = {result:?}"
+            );
+        }
+        assert!(matches!(db.bind(sql), Err(GhostError::Sql { .. })), "{sql}");
+        assert!(
+            matches!(snap.bind(sql), Err(GhostError::Sql { .. })),
+            "{sql}"
+        );
+    }
+    let all = vec![vec![Value::Int(300)]];
+    assert_eq!(db.query(count).unwrap().rows.rows, all);
+    assert_eq!(snap.query(count).unwrap().rows.rows, all);
 }

@@ -99,7 +99,7 @@ fn observability_surfaces_expose_no_hidden_bytes() {
                  AND Rec.Vitals >= 0 \
                  AND Rec.ClinicID = Clinic.ClinicID";
     let spec = db.bind(sql).unwrap();
-    for cp in db.plans(sql).unwrap() {
+    for cp in db.plans_for(&spec).unwrap() {
         let label = &cp.plan.label;
         let (tree, out) = db.analyze_with_plan(&spec, &cp.plan).unwrap();
         assert!(
@@ -374,6 +374,30 @@ fn deleted_hidden_values_never_cross_the_bus() {
     assert!(!db.spy_sees_value(&Value::Int(UPD_INT)));
 }
 
+/// A script's SELECT discloses its own text and nothing else: the
+/// UPDATE before it in the same `execute` call enters through the
+/// secure port, so its new hidden value must not ride along on the
+/// SELECT's `Query` frame.
+#[test]
+fn script_selects_disclose_only_their_own_text() {
+    const SECRET: &str = "QQSECRETQQ";
+    let (mut db, _) = common::medical_db(300);
+    db.clear_trace();
+    let out = db
+        .execute(&format!(
+            "UPDATE Visit SET Purpose = '{SECRET}' WHERE VisID = 4; \
+             SELECT COUNT(*) FROM Visit Vis"
+        ))
+        .unwrap();
+    assert_eq!(out.len(), 2);
+    assert!(
+        !db.spy_sees_value(&Value::Text(SECRET.into())),
+        "the UPDATE's hidden value crossed the bus inside the next SELECT's text"
+    );
+    // The SELECT itself is public and did cross, exactly as written.
+    assert!(db.spy_sees_value(&Value::Text("SELECT COUNT(*) FROM Visit Vis".into())));
+}
+
 /// Durability stays entirely on the device side of the spied link:
 /// `seal()` programs the NAND directly (zero bus frames), and a
 /// mount's WAL replay re-transmits only the visible halves — the
@@ -560,10 +584,10 @@ fn snapshot_reads_leak_nothing() {
                  AND Rec.SecretScore >= 0 \
                  AND Rec.ClinicID = Clinic.ClinicID";
     let spec = snap.bind(sql).unwrap();
-    for cp in snap.plans(sql).unwrap() {
+    for cp in snap.plans_for(&spec).unwrap() {
         db.clear_trace();
         let _ = snap.query_with_plan(sql, &cp.plan).unwrap();
-        let _ = snap.run_scalar(&spec, &cp.plan).unwrap();
+        let _ = snap.run(&spec, &cp.plan).unwrap();
         assert_no_sentinel(&db, &format!("snapshot plan {}", cp.plan.label));
     }
 

@@ -169,7 +169,7 @@ fn check_plan_actuals(
 /// Run the oracle over **every** enumerated plan of `sql`.
 fn check_all_plans(db: &GhostDb, data: &Dataset, sql: &str) {
     let spec = db.bind(sql).expect("bind");
-    let plans = db.plans(sql).expect("plans");
+    let plans = db.plans_for(&spec).expect("plans");
     assert!(!plans.is_empty(), "no plans for {sql}");
     for cp in &plans {
         let (tree, out) = db.analyze_with_plan(&spec, &cp.plan).expect("analyze");
@@ -250,7 +250,7 @@ fn explain_and_explain_analyze_share_one_skeleton() {
     let sql = paper_query(Date(cfg.date_start.0 + (cfg.date_span_days / 2) as i32));
     let spec = db.bind(&sql).unwrap();
     let stripped_explain = skeleton(&db.explain(&sql).unwrap()).join("\n");
-    for cp in db.plans(&sql).unwrap().iter().take(8) {
+    for cp in db.plans_for(&spec).unwrap().iter().take(8) {
         let (tree, _) = db.analyze_with_plan(&spec, &cp.plan).unwrap();
         let analyzed = skeleton(&render_plan(&cp.plan.label, &tree)).join("\n");
         assert!(

@@ -220,9 +220,10 @@ mod insert_equivalence {
     //! after N post-load inserts returns exactly the rows the same query
     //! returns on a fresh `GhostDb::create` whose initial dataset
     //! contains those rows — across random insert batches, before and
-    //! after a forced delta flush/merge, on every enumerated plan and
-    //! both pipeline modes (so the blocked/scalar equivalence is also
-    //! proven on datasets containing un-flushed deltas).
+    //! after a forced delta flush/merge, on every enumerated plan, both
+    //! on the live handle and through a fresh snapshot (so the snapshot
+    //! read path is also proven on datasets containing un-flushed
+    //! deltas).
 
     use ghostdb::GhostDb;
     use ghostdb_storage::Dataset;
@@ -337,16 +338,16 @@ mod insert_equivalence {
                 for sql in &queries {
                     let expect = fresh.query(sql).unwrap().rows.rows;
                     let spec = db.bind(sql).unwrap();
-                    for cp in db.plans(sql).unwrap() {
+                    for cp in db.plans_for(&spec).unwrap() {
                         let blocked = db.run(&spec, &cp.plan).unwrap();
                         prop_assert_eq!(
                             &blocked.rows.rows, &expect,
                             "{}/blocked plan {}: {}", phase, cp.plan.label, sql
                         );
-                        let scalar = db.run_scalar(&spec, &cp.plan).unwrap();
+                        let snapshot = db.snapshot().unwrap().run(&spec, &cp.plan).unwrap();
                         prop_assert_eq!(
-                            &scalar.rows.rows, &expect,
-                            "{}/scalar plan {}: {}", phase, cp.plan.label, sql
+                            &snapshot.rows.rows, &expect,
+                            "{}/snapshot plan {}: {}", phase, cp.plan.label, sql
                         );
                     }
                 }
@@ -365,7 +366,7 @@ mod insert_equivalence {
 mod mutation_equivalence {
     //! The full-DML ground truth (PR 5 acceptance): after any random
     //! interleaving of insert/delete/update batches, every enumerated
-    //! plan on either pipeline returns exactly what the same query
+    //! plan, live and through a snapshot, returns exactly what the same query
     //! returns on a fresh `GhostDb::create` of **the surviving rows** —
     //! survivors renumbered dense, foreign keys re-pointed, updated
     //! values in place (`Vec::remove` semantics). Held in three states:
@@ -616,16 +617,16 @@ mod mutation_equivalence {
                 for sql in &queries {
                     let expect = oracle.query(sql).unwrap().rows.rows;
                     let spec = db.bind(sql).unwrap();
-                    for cp in db.plans(sql).unwrap() {
+                    for cp in db.plans_for(&spec).unwrap() {
                         let blocked = db.run(&spec, &cp.plan).unwrap();
                         prop_assert_eq!(
                             &blocked.rows.rows, &expect,
                             "{}/blocked plan {}: {}", phase, cp.plan.label, sql
                         );
-                        let scalar = db.run_scalar(&spec, &cp.plan).unwrap();
+                        let snapshot = db.snapshot().unwrap().run(&spec, &cp.plan).unwrap();
                         prop_assert_eq!(
-                            &scalar.rows.rows, &expect,
-                            "{}/scalar plan {}: {}", phase, cp.plan.label, sql
+                            &snapshot.rows.rows, &expect,
+                            "{}/snapshot plan {}: {}", phase, cp.plan.label, sql
                         );
                     }
                 }
@@ -663,8 +664,8 @@ mod seal_mount_equivalence {
     //! from the NAND alone answers every query exactly like a fresh
     //! `GhostDb::create` of the same content — across random insert
     //! batches committed *after* the seal (so they exist only in the
-    //! WAL and must replay), every enumerated plan, both pipeline
-    //! modes, and again after the replayed deltas are flushed (which
+    //! WAL and must replay), every enumerated plan, live and through a
+    //! snapshot, and again after the replayed deltas are flushed (which
     //! re-seals) and the key is power-cycled a second time.
 
     use ghostdb::GhostDb;
@@ -782,16 +783,16 @@ mod seal_mount_equivalence {
                 for sql in &queries {
                     let expect = fresh.query(sql).unwrap().rows.rows;
                     let spec = db.bind(sql).unwrap();
-                    for cp in db.plans(sql).unwrap() {
+                    for cp in db.plans_for(&spec).unwrap() {
                         let blocked = db.run(&spec, &cp.plan).unwrap();
                         prop_assert_eq!(
                             &blocked.rows.rows, &expect,
                             "{}/blocked plan {}: {}", phase, cp.plan.label, sql
                         );
-                        let scalar = db.run_scalar(&spec, &cp.plan).unwrap();
+                        let snapshot = db.snapshot().unwrap().run(&spec, &cp.plan).unwrap();
                         prop_assert_eq!(
-                            &scalar.rows.rows, &expect,
-                            "{}/scalar plan {}: {}", phase, cp.plan.label, sql
+                            &snapshot.rows.rows, &expect,
+                            "{}/snapshot plan {}: {}", phase, cp.plan.label, sql
                         );
                     }
                 }
@@ -817,7 +818,8 @@ mod aggregate_equivalence {
     //! documented epilogue semantics (`docs/SQL.md`: first-seen group
     //! order, stable sort, truncating AVG, COUNT-only zero-group rule)
     //! applied to the rows the *plain* form of the same query returns.
-    //! Checked across every enumerated plan, both pipelines, in the
+    //! Checked across every enumerated plan, live and through a
+    //! snapshot, in the
     //! tombstone-resident state after random deletes, and again after
     //! the physical flush.
 
@@ -1060,16 +1062,16 @@ mod aggregate_equivalence {
                     let base_rows = db.query(&case.base).unwrap().rows.rows;
                     let expect = host_epilogue(&base_rows, case);
                     let spec = db.bind(&case.analytic).unwrap();
-                    for cp in db.plans(&case.analytic).unwrap() {
+                    for cp in db.plans_for(&spec).unwrap() {
                         let blocked = db.run(&spec, &cp.plan).unwrap();
                         prop_assert_eq!(
                             &blocked.rows.rows, &expect,
                             "{}/blocked plan {}: {}", phase, cp.plan.label, case.analytic
                         );
-                        let scalar = db.run_scalar(&spec, &cp.plan).unwrap();
+                        let snapshot = db.snapshot().unwrap().run(&spec, &cp.plan).unwrap();
                         prop_assert_eq!(
-                            &scalar.rows.rows, &expect,
-                            "{}/scalar plan {}: {}", phase, cp.plan.label, case.analytic
+                            &snapshot.rows.rows, &expect,
+                            "{}/snapshot plan {}: {}", phase, cp.plan.label, case.analytic
                         );
                     }
                 }
@@ -1086,107 +1088,12 @@ mod aggregate_equivalence {
     }
 }
 
-mod pipeline_equivalence {
-    //! The batched (blocked) pipeline and the scalar fallback must be
-    //! observationally identical: same rows, same per-operator tuple
-    //! counts, across random plans. Only simulated timings (and the
-    //! amount of data the galloping merge *touches* on its input
-    //! streams) may differ.
-
-    use super::common::medical_db;
-    use ghostdb_exec::ExecReport;
-    use proptest::prelude::*;
-
-    /// The result-bearing operators whose tuple counts are structural:
-    /// every id/row that flows through them is part of the query's
-    /// semantics. (Source streams are excluded on purpose — the whole
-    /// point of `seek_at_least` is that the blocked merge touches fewer
-    /// of their ids.)
-    const SEMANTIC_OPS: &[&str] = &[
-        "merge-intersect",
-        "access-skt",
-        "anchor-rows",
-        "fetch-column",
-        "bloom-build",
-        "bloom-probe",
-        "hidden-verify",
-        "project",
-    ];
-
-    fn semantic_counts(report: &ExecReport) -> Vec<(String, u64, u64)> {
-        report
-            .ops
-            .iter()
-            .filter(|op| SEMANTIC_OPS.contains(&op.name.as_str()))
-            .map(|op| (op.name.clone(), op.tuples_in, op.tuples_out))
-            .collect()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
-
-        /// Every enumerated plan of a random conjunctive query returns
-        /// byte-identical rows and identical semantic tuple counts under
-        /// both pipelines.
-        #[test]
-        fn blocked_and_scalar_pipelines_agree(
-            quantity in 1i64..10,
-            q_op in 0usize..3,
-            date_frac in 0.0f64..1.0,
-            purpose in prop::sample::select(vec!["Sclerosis", "Checkup", "Diabetes"]),
-            use_type in proptest::any::<bool>(),
-        ) {
-            let (db, cfg) = medical_db(700);
-            let ops = ["=", ">", "<="];
-            let cutoff = ghostdb_types::Date(
-                cfg.date_start.0 + ((cfg.date_span_days as f64) * date_frac) as i32,
-            );
-            let mut sql = format!(
-                "SELECT Pre.PreID, Vis.Purpose, Med.Name \
-                 FROM Prescription Pre, Visit Vis, Medicine Med \
-                 WHERE Pre.Quantity {} {} \
-                   AND Vis.Date > '{}' \
-                   AND Vis.Purpose = '{}' ",
-                ops[q_op], quantity, cutoff, purpose,
-            );
-            if use_type {
-                sql.push_str("AND Med.Type = 'Antibiotic' ");
-            }
-            sql.push_str("AND Vis.VisID = Pre.VisID AND Med.MedID = Pre.MedID");
-
-            let spec = db.bind(&sql).unwrap();
-            let plans = db.plans(&sql).unwrap();
-            prop_assert!(!plans.is_empty());
-            // First, middle, and last plan: the panel spans pure
-            // Pre-filtering through Bloom-heavy Post-filtering.
-            let picks = [0, plans.len() / 2, plans.len() - 1];
-            for &pi in &picks {
-                let plan = &plans[pi].plan;
-                let blocked = db.run(&spec, plan).unwrap();
-                let scalar = db.run_scalar(&spec, plan).unwrap();
-                prop_assert_eq!(
-                    &blocked.rows.rows, &scalar.rows.rows,
-                    "rows diverge for plan {}", plan.label
-                );
-                prop_assert_eq!(
-                    blocked.report.result_rows, scalar.report.result_rows,
-                    "result_rows diverge for plan {}", plan.label
-                );
-                prop_assert_eq!(
-                    semantic_counts(&blocked.report),
-                    semantic_counts(&scalar.report),
-                    "tuple counts diverge for plan {}", plan.label
-                );
-            }
-        }
-    }
-}
-
 mod cache_equivalence {
     //! The page cache must be invisible: an engine with the default
     //! device-RAM mirror and an engine with `page_cache_pages = 0`
     //! walk through identical mutation histories and must return
-    //! identical rows for every enumerated plan on both pipelines — in
+    //! identical rows for every enumerated plan, live and through a
+    //! snapshot — in
     //! the tombstone-resident state, after physical compaction, with
     //! ECC-correctable rot injected underneath (corrected codewords
     //! are never mirrored), and across a seal → power-cut → mount.
@@ -1412,16 +1319,16 @@ mod cache_equivalence {
                         phase, cached.report.total_ns, oracle.report.total_ns, sql
                     );
                     let spec = on.bind(sql).unwrap();
-                    for cp in on.plans(sql).unwrap() {
+                    for cp in on.plans_for(&spec).unwrap() {
                         let blocked = on.run(&spec, &cp.plan).unwrap();
                         prop_assert_eq!(
                             &blocked.rows.rows, &oracle.rows.rows,
                             "{}: blocked plan {}: {}", phase, cp.plan.label, sql
                         );
-                        let scalar = on.run_scalar(&spec, &cp.plan).unwrap();
+                        let snapshot = on.snapshot().unwrap().run(&spec, &cp.plan).unwrap();
                         prop_assert_eq!(
-                            &scalar.rows.rows, &oracle.rows.rows,
-                            "{}: scalar plan {}: {}", phase, cp.plan.label, sql
+                            &snapshot.rows.rows, &oracle.rows.rows,
+                            "{}: snapshot plan {}: {}", phase, cp.plan.label, sql
                         );
                     }
                 }
