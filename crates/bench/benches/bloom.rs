@@ -2,7 +2,7 @@
 //! sizes Post-filtering uses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ghostdb_bloom::{BloomFilter, CountingBloom};
+use ghostdb_bloom::BloomFilter;
 use ghostdb_ram::{RamBudget, RamScope};
 
 fn bench_bloom(c: &mut Criterion) {
@@ -39,19 +39,6 @@ fn bench_bloom(c: &mut Criterion) {
             })
         });
     }
-    // The counting variant's insert/remove overhead (ablation).
-    g.bench_function("counting_insert_remove_10k", |b| {
-        b.iter(|| {
-            let mut f = CountingBloom::with_params(&scope, 16 * 8192, 5).expect("cbf");
-            for i in 0..10_000u64 {
-                f.insert(i);
-            }
-            for i in 0..5_000u64 {
-                f.remove(i);
-            }
-            f
-        })
-    });
     g.finish();
 }
 

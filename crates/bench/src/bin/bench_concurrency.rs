@@ -1,5 +1,5 @@
 //! Perf-trajectory runner for the concurrent snapshot read path,
-//! written to `BENCH_PR8.json` at the repo root.
+//! written to `BENCH_PR8.json` in the current directory.
 //!
 //! Usage: `cargo run --release -p ghostdb-bench --bin bench_concurrency`
 //!
@@ -31,10 +31,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use ghostdb_bench::gates::{fixed, Report};
+use ghostdb_bench::{medical_fixture, Fixture};
 use ghostdb_core::GhostDb;
 use ghostdb_storage::Dataset;
 use ghostdb_types::{DeviceConfig, Result, TableId, Value};
-use ghostdb_workload::{generate_medical, selectivity_query, MedicalConfig, MEDICAL_DDL};
+use ghostdb_workload::selectivity_query;
 
 const READERS: usize = 4;
 const QUERIES_PER_SESSION: usize = 24;
@@ -44,13 +46,6 @@ const QUERIES_PER_SESSION: usize = 24;
 /// thousandth of that approximates a modern key while keeping the
 /// bench under a minute.
 const DEVICE_SCALE: u64 = 1000;
-
-fn build_read_db() -> Result<GhostDb> {
-    let cfg = MedicalConfig::scaled(8_000);
-    let data = generate_medical(&cfg)?;
-    let db = GhostDb::create(MEDICAL_DDL, DeviceConfig::default_2007(), &data)?;
-    Ok(db)
-}
 
 /// Single-threaded calibration: the clean per-query simulated device
 /// time, host CPU time, and the modeled round-trip sleep derived from
@@ -74,29 +69,21 @@ fn calibrate(db: &GhostDb, sql: &str) -> Result<(u64, f64, Duration)> {
 /// snapshot and running `QUERIES_PER_SESSION` queries, sleeping the
 /// modeled device round-trip after each.
 fn throughput(db: &GhostDb, sql: &str, threads: usize, round_trip: Duration) -> Result<f64> {
-    let mut snaps = Vec::new();
-    for _ in 0..threads {
-        snaps.push(db.snapshot()?);
-    }
-    let sql = sql.to_string();
+    let snaps: Vec<_> = (0..threads).map(|_| db.snapshot()).collect::<Result<_>>()?;
     let t0 = Instant::now();
-    let handles: Vec<_> = snaps
-        .into_iter()
-        .map(|snap| {
-            let sql = sql.clone();
-            thread::spawn(move || {
-                let spec = snap.bind(&sql).expect("bind");
+    // The scope joins every session (and re-raises a reader's panic).
+    thread::scope(|scope| {
+        for snap in snaps {
+            scope.spawn(move || {
+                let spec = snap.bind(sql).expect("bind");
                 let plan = snap.plan_pre(&spec);
                 for _ in 0..QUERIES_PER_SESSION {
                     snap.run(&spec, &plan).expect("snapshot read");
                     thread::sleep(round_trip);
                 }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("reader panicked");
-    }
+            });
+        }
+    });
     Ok((threads * QUERIES_PER_SESSION) as f64 / t0.elapsed().as_secs_f64())
 }
 
@@ -107,23 +94,24 @@ const DDL: &str = "\
       hid INTEGER HIDDEN,
       tag CHAR(12) HIDDEN);";
 
+fn child(i: i64) -> Vec<Value> {
+    vec![
+        Value::Int(i),
+        Value::Int(i % 50),
+        Value::Int(i % 97),
+        Value::Text(format!("tag-{}", i % 8)),
+    ]
+}
+
 /// Phase 2: one reader on a frozen snapshot races a writer running
-/// insert + full-flush rounds. Returns (reads completed, reads that
-/// finished strictly inside a flush window, p50 ms, p99 ms).
-fn flush_overlap_phase() -> Result<(usize, usize, f64, f64)> {
+/// insert + full-flush rounds; at least one read must finish strictly
+/// inside a flush window.
+fn flush_overlap_phase(report: &mut Report) -> Result<()> {
     let stmts = ghostdb_sql::parse_statements(DDL)?;
     let schema = ghostdb_sql::bind_schema(&stmts)?;
     let mut data = Dataset::empty(&schema);
     for i in 0..8192i64 {
-        data.push_row(
-            TableId(0),
-            vec![
-                Value::Int(i),
-                Value::Int(i % 50),
-                Value::Int(i % 97),
-                Value::Text(format!("tag-{}", i % 8)),
-            ],
-        )?;
+        data.push_row(TableId(0), child(i))?;
     }
     let config = DeviceConfig::default_2007().with_delta_flush_rows(0);
     let mut db = GhostDb::create(DDL, config, &data)?;
@@ -160,21 +148,9 @@ fn flush_overlap_phase() -> Result<(usize, usize, f64, f64)> {
     // segments, with the frees of the old ones deferred by the
     // reader's pins.
     let mut flushes = Vec::new();
-    let mut next_id = 8192i64;
-    for _ in 0..8 {
-        let batch: Vec<Vec<Value>> = (0..1024)
-            .map(|k| {
-                let i = next_id + k;
-                vec![
-                    Value::Int(i),
-                    Value::Int(i % 50),
-                    Value::Int(i % 97),
-                    Value::Text(format!("tag-{}", i % 8)),
-                ]
-            })
-            .collect();
-        next_id += 1024;
-        db.insert_rows(TableId(0), batch)?;
+    for round in 0..8 {
+        let first = 8192 + 1024 * round;
+        db.insert_rows(TableId(0), (first..first + 1024).map(child).collect())?;
         let f0 = Instant::now();
         db.flush_deltas()?;
         flushes.push((f0, Instant::now()));
@@ -192,66 +168,54 @@ fn flush_overlap_phase() -> Result<(usize, usize, f64, f64)> {
         .collect();
     let p50 = ghostdb_bench::latency::percentile(&mut ms, 0.5);
     let p99 = ghostdb_bench::latency::percentile(&mut ms, 0.99);
-    Ok((reads.len(), overlapped, p50, p99))
+    report.result(
+        "flush_overlap",
+        &[("reads", reads.len().into()), ("p50_ms", fixed(p50, 2))],
+    );
+    report
+        .gate_min("flush_overlap_reads", overlapped, 1.0)
+        .gate_max("flush_p99_ms", fixed(p99, 2), 500.0);
+    Ok(())
 }
 
 fn main() {
-    let db = build_read_db().expect("build");
-    let cfg = MedicalConfig::scaled(8_000);
+    let mut report = Report::new(
+        8,
+        "Concurrent snapshot reads: MVCC epochs and a multi-threaded read executor",
+    );
+    report.field(
+        "workload",
+        format!(
+            "medical(8000) 30%-selectivity probe per session, device round-trip modeled as \
+             sim_ns/{DEVICE_SCALE} host sleep; 8192-row Child table + 8 1024-row insert/flush \
+             rounds under a pinned reader"
+        ),
+    );
+    let Fixture { db, cfg } = medical_fixture(8_000).expect("build");
     let sql = selectivity_query(cfg.date_start, cfg.date_span_days, 0.3);
     let (sim_ns, host_secs, round_trip) = calibrate(&db, &sql).expect("calibrate");
-    eprintln!(
-        "calibration: {sim_ns} sim ns/query, {:.2} host ms/query, modeled round-trip {:?}",
-        host_secs * 1e3,
-        round_trip
+    report.result(
+        "calibration",
+        &[
+            ("sim_ns_per_query", sim_ns.into()),
+            ("host_ms_per_query", fixed(host_secs * 1e3, 3)),
+            ("round_trip_ms", fixed(round_trip.as_secs_f64() * 1e3, 1)),
+        ],
     );
 
     let serial_qps = throughput(&db, &sql, 1, round_trip).expect("serial");
     let parallel_qps = throughput(&db, &sql, READERS, round_trip).expect("parallel");
-    let read_scaling_4t = parallel_qps / serial_qps;
-    eprintln!(
-        "scaling:  1 session {serial_qps:.1} q/s, {READERS} sessions {parallel_qps:.1} q/s \
-         ({read_scaling_4t:.2}x)"
-    );
     assert_eq!(db.open_snapshots(), 0, "bench leaked snapshots");
-
-    let (reads, overlap_reads, p50_ms, p99_ms) = flush_overlap_phase().expect("flush overlap");
-    eprintln!(
-        "overlap:  {reads} reads against a frozen snapshot, {overlap_reads} entirely inside \
-         a flush window, p50 {p50_ms:.2} ms, p99 {p99_ms:.2} ms"
+    report.result(
+        "read_throughput",
+        &[
+            ("serial_qps", fixed(serial_qps, 1)),
+            ("parallel_qps", fixed(parallel_qps, 1)),
+            ("threads", READERS.into()),
+        ],
     );
+    report.gate_min("read_scaling_4t", fixed(parallel_qps / serial_qps, 2), 2.0);
 
-    let scaling_gate_min = 2.0;
-    let overlap_gate_min = 1.0;
-    let p99_gate_max = 500.0;
-    let pass = read_scaling_4t >= scaling_gate_min
-        && overlap_reads as f64 >= overlap_gate_min
-        && p99_ms <= p99_gate_max;
-
-    let body = format!(
-        "{{\n  \"pr\": 8,\n  \"title\": \"Concurrent snapshot reads: MVCC epochs and a \
-         multi-threaded read executor\",\n  \
-         \"workload\": \"medical(8000) 30%-selectivity probe per session, device round-trip \
-         modeled as sim_ns/{DEVICE_SCALE} host sleep; 8192-row Child table + 8 1024-row \
-         insert/flush rounds under a pinned reader\",\n  \
-         \"results\": [\n    \
-         {{\"name\": \"calibration\", \"sim_ns_per_query\": {sim_ns}, \
-         \"host_ms_per_query\": {:.3}, \"round_trip_ms\": {:.1}}},\n    \
-         {{\"name\": \"read_throughput\", \"serial_qps\": {serial_qps:.1}, \
-         \"parallel_qps\": {parallel_qps:.1}, \"threads\": {READERS}}},\n    \
-         {{\"name\": \"flush_overlap\", \"reads\": {reads}, \"p50_ms\": {p50_ms:.2}}}\n  ],\n  \
-         \"acceptance\": {{\n    \"read_scaling_4t\": {read_scaling_4t:.2},\n    \
-         \"read_scaling_4t_gate_min\": {scaling_gate_min:.1},\n    \
-         \"flush_overlap_reads\": {overlap_reads},\n    \
-         \"flush_overlap_reads_gate_min\": {overlap_gate_min:.1},\n    \
-         \"flush_p99_ms\": {p99_ms:.2},\n    \
-         \"flush_p99_ms_gate_max\": {p99_gate_max:.1},\n    \
-         \"pass\": {pass}\n  }}\n}}\n",
-        host_secs * 1e3,
-        round_trip.as_secs_f64() * 1e3,
-    );
-    std::fs::write("BENCH_PR8.json", &body).expect("write BENCH_PR8.json");
-    println!("{body}");
-    eprintln!("wrote BENCH_PR8.json");
-    assert!(pass, "acceptance gates failed");
+    flush_overlap_phase(&mut report).expect("flush overlap");
+    report.finish("BENCH_PR8.json");
 }

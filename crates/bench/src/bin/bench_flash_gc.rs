@@ -1,7 +1,7 @@
 //! Perf-trajectory runner for the flash garbage collector: measures
 //! reclaim throughput, write amplification, and wear spread under the
 //! fragmentation workload the GC exists to fix, and writes
-//! `BENCH_PR2.json` at the repo root.
+//! `BENCH_PR2.json` to the current directory.
 //!
 //! Usage: `cargo run --release -p ghostdb-bench --bin bench_flash_gc`
 //!
@@ -19,80 +19,66 @@
 
 use std::time::Instant;
 
-use ghostdb_flash::{Nand, Volume};
+use ghostdb_bench::gates::{fixed, Report};
+use ghostdb_flash::{Nand, Segment, Volume};
 use ghostdb_ram::{RamBudget, RamScope};
 use ghostdb_types::{FlashConfig, Result, SimClock};
 
 const PAGE: usize = 2048;
 const PPB: usize = 64;
-const BLOCKS: usize = 256;
 
-fn volume(watermark: usize) -> Volume {
+fn volume(num_blocks: usize, watermark: usize) -> Volume {
     let cfg = FlashConfig {
         page_size: PAGE,
         pages_per_block: PPB,
-        num_blocks: BLOCKS,
+        num_blocks,
         gc_low_watermark_blocks: watermark,
         ..FlashConfig::default_2007()
     };
     Volume::new(Nand::new(cfg, SimClock::new()))
 }
 
-/// Write `blocks` erase blocks' worth of pages, interleaving one
-/// persistent page with seven temp pages; frees the temp segment and
-/// returns the persistent one.
+/// Write `blocks` erase blocks' worth of pages; every 8 pages hold one
+/// page for each of `keep` persistent segments and `8 - keep` temp
+/// pages. Frees the temp segment and returns the persistent ones.
 fn fragment(
     vol: &Volume,
     scope: &RamScope,
     blocks: usize,
     tag: u8,
-) -> Result<ghostdb_flash::Segment> {
-    let keeper_page = vec![tag; PAGE];
-    let temp_pages = vec![0xEE; PAGE * 7];
-    let mut keeper = vol.writer(scope)?;
-    let mut temp = vol.writer(scope)?;
-    for _ in 0..blocks * PPB / 8 {
-        keeper.write(&keeper_page)?;
-        temp.write(&temp_pages)?;
-    }
-    let kseg = keeper.finish()?;
-    vol.free(temp.finish()?)?;
-    Ok(kseg)
-}
-
-/// One churn round: three lifetimes interleaved into the same blocks —
-/// per 8 pages, one long-lived page, one medium-lived page, six temp
-/// pages (freed immediately). Returns the (medium, long) segments.
-fn fragment_mixed(
-    vol: &Volume,
-    scope: &RamScope,
-    blocks: usize,
-    tag: u8,
-) -> Result<(ghostdb_flash::Segment, ghostdb_flash::Segment)> {
+    keep: usize,
+) -> Result<Vec<Segment>> {
     let page = vec![tag; PAGE];
-    let temp_pages = vec![0xEE; PAGE * 6];
-    let mut long = vol.writer(scope)?;
-    let mut medium = vol.writer(scope)?;
+    let temp_pages = vec![0xEE; PAGE * (8 - keep)];
+    let mut keepers = (0..keep)
+        .map(|_| vol.writer(scope))
+        .collect::<Result<Vec<_>>>()?;
     let mut temp = vol.writer(scope)?;
     for _ in 0..blocks * PPB / 8 {
-        long.write(&page)?;
-        medium.write(&page)?;
+        for w in &mut keepers {
+            w.write(&page)?;
+        }
         temp.write(&temp_pages)?;
     }
-    let mseg = medium.finish()?;
-    let lseg = long.finish()?;
+    // Finish the persistent writers last-opened first.
+    let mut segments = keepers
+        .into_iter()
+        .rev()
+        .map(|w| w.finish())
+        .collect::<Result<Vec<_>>>()?;
+    segments.reverse();
     vol.free(temp.finish()?)?;
-    Ok((mseg, lseg))
+    Ok(segments)
 }
 
 /// Phase 1: reclaim throughput of explicit GC passes over a maximally
-/// fragmented part. Returns (MB/s, pages reclaimed, pages migrated).
-fn reclaim_phase() -> Result<(f64, u64, u64)> {
-    let vol = volume(0); // explicit GC only
+/// fragmented part.
+fn reclaim_phase(report: &mut Report) -> Result<()> {
+    let vol = volume(256, 0); // explicit GC only
     let scope = RamScope::new(&RamBudget::new(64 * 1024));
     // Fragment 240 of 256 blocks; the rest stage migrations.
     let keepers: Vec<_> = (0..24)
-        .map(|i| fragment(&vol, &scope, 10, i as u8))
+        .map(|i| fragment(&vol, &scope, 10, i as u8, 1))
         .collect::<Result<_>>()?;
 
     let t0 = Instant::now();
@@ -107,34 +93,36 @@ fn reclaim_phase() -> Result<(f64, u64, u64)> {
         migrated += report.pages_migrated;
     }
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
-    for k in keepers {
+    for k in keepers.into_iter().flatten() {
         vol.free(k)?;
     }
-    let mb = (reclaimed * PAGE as u64) as f64 / (1024.0 * 1024.0);
-    Ok((mb / secs, reclaimed, migrated))
+    let mb_per_s = (reclaimed * PAGE as u64) as f64 / (1024.0 * 1024.0) / secs;
+    report.result(
+        "gc_reclaim",
+        &[
+            ("mb_per_s", fixed(mb_per_s, 1)),
+            ("pages_reclaimed", reclaimed.into()),
+            ("pages_migrated", migrated.into()),
+        ],
+    );
+    report.gate_min("gc_reclaim_mb_per_s", fixed(mb_per_s, 1), 10.0);
+    Ok(())
 }
 
 /// Phase 2: steady-state churn with the watermark trigger. A 64-block
 /// slice of the part keeps space pressure real: medium-lived segments
 /// retire after 4 rounds, long-lived ones after 24, temps immediately —
 /// so every block mixes lifetimes and only the GC can reclaim it.
-/// Returns (write amplification, wear spread, GC blocks reclaimed).
-fn churn_phase(rounds: usize) -> Result<(f64, u32, u64)> {
-    let cfg = FlashConfig {
-        page_size: PAGE,
-        pages_per_block: PPB,
-        num_blocks: 64, // 8 MiB: full enough that the watermark bites
-        gc_low_watermark_blocks: 16,
-        ..FlashConfig::default_2007()
-    };
-    let vol = Volume::new(Nand::new(cfg, SimClock::new()));
+fn churn_phase(report: &mut Report, rounds: usize) -> Result<()> {
+    let vol = volume(64, 16); // 8 MiB: full enough that the watermark bites
     let scope = RamScope::new(&RamBudget::new(64 * 1024));
     let mut medium = std::collections::VecDeque::new();
     let mut long = std::collections::VecDeque::new();
     for round in 0..rounds {
-        let (mseg, lseg) = fragment_mixed(&vol, &scope, 4, (round % 251) as u8)?;
-        medium.push_back(mseg);
-        long.push_back(lseg);
+        // One long-lived page, one medium-lived page, six temp pages.
+        let mut segments = fragment(&vol, &scope, 4, (round % 251) as u8, 2)?;
+        medium.push_back(segments.pop().expect("medium"));
+        long.push_back(segments.pop().expect("long"));
         if medium.len() > 4 {
             vol.free(medium.pop_front().expect("non-empty"))?;
         }
@@ -147,52 +135,39 @@ fn churn_phase(rounds: usize) -> Result<(f64, u32, u64)> {
     let user_programs = stats.page_programs - gc.pages_migrated;
     let write_amp = stats.page_programs as f64 / user_programs as f64;
     let (min_wear, max_wear) = vol.nand().wear_spread();
-    Ok((write_amp, max_wear - min_wear, gc.blocks_reclaimed))
+    report.result(
+        "steady_churn",
+        &[
+            ("rounds", rounds.into()),
+            ("write_amp", fixed(write_amp, 3)),
+            ("wear_spread", (max_wear - min_wear).into()),
+            ("gc_blocks_reclaimed", gc.blocks_reclaimed.into()),
+        ],
+    );
+    report
+        .gate_max("write_amp", fixed(write_amp, 3), 2.0)
+        .gate_max("wear_spread", max_wear - min_wear, 8.0);
+    Ok(())
 }
 
 fn main() {
-    let (reclaim_mb_s, pages_reclaimed, reclaim_migrated) = reclaim_phase().expect("reclaim phase");
-    eprintln!(
-        "reclaim: {reclaim_mb_s:.1} MB/s ({pages_reclaimed} dead pages freed, \
-         {reclaim_migrated} live pages moved)"
+    let mut report = Report::new(
+        2,
+        "Flash garbage collection, wear-aware allocation, and a CI pipeline that gates on \
+         the perf trajectory",
     );
-
-    let rounds = 200;
-    let (write_amp, wear_spread, gc_blocks) = churn_phase(rounds).expect("churn phase");
-    eprintln!(
-        "churn:   {rounds} rounds, write amplification {write_amp:.3}, \
-         wear spread {wear_spread}, {gc_blocks} blocks GC-reclaimed"
-    );
-
-    let reclaim_gate_min = 10.0;
-    let write_amp_gate_max = 2.0;
-    let wear_spread_gate_max = 8.0;
-    let pass = reclaim_mb_s >= reclaim_gate_min
-        && write_amp <= write_amp_gate_max
-        && f64::from(wear_spread) <= wear_spread_gate_max;
-
-    let body = format!(
-        "{{\n  \"pr\": 2,\n  \"title\": \"Flash garbage collection, wear-aware allocation, \
-         and a CI pipeline that gates on the perf trajectory\",\n  \
-         \"geometry\": \"2 KiB pages, 64 pages/block; 256-block part for reclaim, 64-block \
-         part for steady churn\",\n  \
-         \"payload\": \"persistent pages interleaved with temp spills in every block; churn \
-         mixes 4-round, 24-round, and immediate lifetimes so only the GC can reclaim\",\n  \
-         \"results\": [\n    \
-         {{\"name\": \"gc_reclaim\", \"mb_per_s\": {reclaim_mb_s:.1}, \
-         \"pages_reclaimed\": {pages_reclaimed}, \"pages_migrated\": {reclaim_migrated}}},\n    \
-         {{\"name\": \"steady_churn\", \"rounds\": {rounds}, \"write_amp\": {write_amp:.3}, \
-         \"wear_spread\": {wear_spread}, \"gc_blocks_reclaimed\": {gc_blocks}}}\n  ],\n  \
-         \"acceptance\": {{\n    \"gc_reclaim_mb_per_s\": {reclaim_mb_s:.1},\n    \
-         \"gc_reclaim_mb_per_s_gate_min\": {reclaim_gate_min:.1},\n    \
-         \"write_amp\": {write_amp:.3},\n    \
-         \"write_amp_gate_max\": {write_amp_gate_max:.1},\n    \
-         \"wear_spread\": {wear_spread},\n    \
-         \"wear_spread_gate_max\": {wear_spread_gate_max:.1},\n    \
-         \"pass\": {pass}\n  }}\n}}\n"
-    );
-    std::fs::write("BENCH_PR2.json", &body).expect("write BENCH_PR2.json");
-    println!("{body}");
-    eprintln!("wrote BENCH_PR2.json");
-    assert!(pass, "GC bench gates failed");
+    report
+        .field(
+            "geometry",
+            "2 KiB pages, 64 pages/block; 256-block part for reclaim, 64-block part for \
+             steady churn",
+        )
+        .field(
+            "payload",
+            "persistent pages interleaved with temp spills in every block; churn mixes \
+             4-round, 24-round, and immediate lifetimes so only the GC can reclaim",
+        );
+    reclaim_phase(&mut report).expect("reclaim phase");
+    churn_phase(&mut report, 200).expect("churn phase");
+    report.finish("BENCH_PR2.json");
 }

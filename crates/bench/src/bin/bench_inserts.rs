@@ -1,7 +1,7 @@
 //! Perf-trajectory runner for the post-load write path: measures insert
 //! throughput, query latency on un-flushed deltas vs. after the merge,
 //! and the flash write amplification of a delta flush, then writes
-//! `BENCH_PR3.json` at the repo root.
+//! `BENCH_PR3.json` to the current directory.
 //!
 //! Usage: `cargo run --release -p ghostdb-bench --bin bench_inserts`
 //!
@@ -13,89 +13,53 @@
 
 use std::time::Instant;
 
+use ghostdb_bench::gates::{fixed, Report};
+use ghostdb_bench::latency::min_query_ns;
+use ghostdb_bench::purchases::{self, HIDDEN_ROW_BYTES, PROBE};
 use ghostdb_core::GhostDb;
-use ghostdb_storage::Dataset;
-use ghostdb_types::{DeviceConfig, Result, TableId, Value};
+use ghostdb_types::DeviceConfig;
 
-const DDL: &str = "\
-CREATE TABLE Customer (
-  CustID INTEGER PRIMARY KEY,
-  Region CHAR(12));
-CREATE TABLE Purchase (
-  OrdID INTEGER PRIMARY KEY,
-  Day INTEGER,
-  Item CHAR(16) HIDDEN,
-  Amount INTEGER HIDDEN,
-  CustID REFERENCES Customer(CustID) HIDDEN);";
-
-const CUSTOMERS: i64 = 64;
 const BASE_ROWS: i64 = 8_000;
 const INSERT_ROWS: i64 = 2_000;
-const BATCH: usize = 100;
-/// Hidden bytes one purchase adds to the store (4 B item code + 8 B
-/// amount key + 8 B custid key) — the denominator of the merge's write
-/// amplification.
-const HIDDEN_ROW_BYTES: u64 = 20;
-
-fn purchase(i: i64, item_pool: i64) -> Vec<Value> {
-    vec![
-        Value::Int(i),
-        Value::Int(i % 365),
-        Value::Text(format!("item-{:03}", i % item_pool)),
-        Value::Int(10 + i % 990),
-        Value::Int(i % CUSTOMERS),
-    ]
-}
-
-fn build() -> Result<GhostDb> {
-    let stmts = ghostdb_sql::parse_statements(DDL)?;
-    let schema = ghostdb_sql::bind_schema(&stmts)?;
-    let mut data = Dataset::empty(&schema);
-    let regions = ["north", "south", "east", "west"];
-    for i in 0..CUSTOMERS {
-        data.push_row(
-            TableId(0),
-            vec![Value::Int(i), Value::Text(regions[(i % 4) as usize].into())],
-        )?;
-    }
-    for i in 0..BASE_ROWS {
-        data.push_row(TableId(1), purchase(i, 40))?;
-    }
-    // Manual flush only: the bench controls the merge point.
-    let config = DeviceConfig::default_2007().with_delta_flush_rows(0);
-    GhostDb::create(DDL, config, &data)
-}
-
-/// Minimum simulated latency of the probe query over a few runs.
-fn query_ns(db: &GhostDb, sql: &str) -> Result<u64> {
-    ghostdb_bench::latency::min_query_ns(db, sql, 3)
-}
 
 fn main() {
-    let mut db = build().expect("build");
-    // Probe mixes a base-dictionary item with the hidden join.
-    let sql = "SELECT Pur.OrdID, Cust.Region FROM Purchase Pur, Customer Cust \
-               WHERE Pur.Item = 'item-007' AND Pur.CustID = Cust.CustID";
-    let base_ns = query_ns(&db, sql).expect("base query");
+    let mut report = Report::new(
+        3,
+        "Mutable GhostDB: post-load write path with LSM-style delta indexes",
+    );
+    report.field(
+        "workload",
+        format!(
+            "Customer(64) <- Purchase(8000 base + 2000 inserted, 20% fresh dict strings), \
+             batches of {}",
+            purchases::BATCH
+        ),
+    );
+    // Manual flush only: the bench controls the merge point.
+    let config = DeviceConfig::default_2007().with_delta_flush_rows(0);
+    let data = purchases::dataset(BASE_ROWS).expect("dataset");
+    let mut db = GhostDb::create(purchases::DDL, config, &data).expect("build");
+    let base_ns = min_query_ns(&db, PROBE, 3).expect("base query");
 
     // Phase 1: insert throughput (host wall time; the simulated clock
-    // tracks device/bus costs separately).
+    // tracks device/bus costs separately). The insert pool is wider
+    // than the base pool, so the delta-dictionary path is measured.
     let t0 = Instant::now();
-    let mut i = BASE_ROWS;
-    while i < BASE_ROWS + INSERT_ROWS {
-        // Pool of 50 > base pool of 40: ~20% of inserted rows carry
-        // strings the base dictionary has never seen.
-        let batch: Vec<Vec<Value>> = (i..i + BATCH as i64).map(|j| purchase(j, 50)).collect();
-        db.insert_rows(TableId(1), batch).expect("insert batch");
-        i += BATCH as i64;
-    }
+    purchases::append(&mut db, BASE_ROWS, INSERT_ROWS).expect("insert batches");
     let insert_secs = t0.elapsed().as_secs_f64().max(1e-9);
     let inserts_per_s = INSERT_ROWS as f64 / insert_secs;
     assert_eq!(db.delta_rows(), INSERT_ROWS as u64);
-    eprintln!("inserts: {INSERT_ROWS} rows in {insert_secs:.3}s = {inserts_per_s:.0} rows/s");
+    report.result(
+        "insert_throughput",
+        &[
+            ("rows", INSERT_ROWS.into()),
+            ("host_secs", fixed(insert_secs, 3)),
+            ("rows_per_s", fixed(inserts_per_s, 0)),
+        ],
+    );
 
     // Phase 2: query latency on the un-flushed delta.
-    let delta_ns = query_ns(&db, sql).expect("delta query");
+    let delta_ns = min_query_ns(&db, PROBE, 3).expect("delta query");
 
     // Phase 3: the merge, and its flash write amplification.
     let before = db.volume().nand().stats();
@@ -105,53 +69,35 @@ fn main() {
     assert_eq!(merged, INSERT_ROWS as u64);
     let flush_stats = db.volume().nand().stats().since(&before);
     let merge_write_amp = flush_stats.bytes_programmed as f64 / (merged * HIDDEN_ROW_BYTES) as f64;
-    eprintln!(
-        "flush: {merged} rows merged in {flush_secs:.3}s, {} B programmed, amp {merge_write_amp:.1}x",
-        flush_stats.bytes_programmed
-    );
 
     // Phase 4: query latency after the merge.
-    let flushed_ns = query_ns(&db, sql).expect("flushed query");
+    let flushed_ns = min_query_ns(&db, PROBE, 3).expect("flushed query");
     let delta_query_slowdown = delta_ns as f64 / flushed_ns as f64;
-    eprintln!(
-        "query: base {base_ns} ns, delta {delta_ns} ns, flushed {flushed_ns} ns \
-         (delta/flushed = {delta_query_slowdown:.2}x)"
-    );
+    report
+        .result(
+            "query_latency_sim_ns",
+            &[
+                ("base", base_ns.into()),
+                ("delta", delta_ns.into()),
+                ("flushed", flushed_ns.into()),
+            ],
+        )
+        .result(
+            "delta_merge",
+            &[
+                ("rows_merged", merged.into()),
+                ("bytes_programmed", flush_stats.bytes_programmed.into()),
+                ("host_secs", fixed(flush_secs, 3)),
+            ],
+        );
 
     // Gates. Throughput has wide margin over any host this runs on;
     // querying a RAM delta must stay within 4x of the merged layout;
     // the merge rewrites base + delta + indexes, so amplification is
     // bounded but not tiny — the gate catches runaway rewrites.
-    let inserts_per_s_gate_min = 2_000.0;
-    let delta_query_slowdown_gate_max = 4.0;
-    let merge_write_amp_gate_max = 30.0;
-    let pass = inserts_per_s >= inserts_per_s_gate_min
-        && delta_query_slowdown <= delta_query_slowdown_gate_max
-        && merge_write_amp <= merge_write_amp_gate_max;
-
-    let body = format!(
-        "{{\n  \"pr\": 3,\n  \"title\": \"Mutable GhostDB: post-load write path with LSM-style \
-         delta indexes\",\n  \
-         \"workload\": \"Customer(64) <- Purchase(8000 base + 2000 inserted, 20% fresh dict \
-         strings), batches of {BATCH}\",\n  \
-         \"results\": [\n    \
-         {{\"name\": \"insert_throughput\", \"rows\": {INSERT_ROWS}, \
-         \"host_secs\": {insert_secs:.3}, \"rows_per_s\": {inserts_per_s:.0}}},\n    \
-         {{\"name\": \"query_latency_sim_ns\", \"base\": {base_ns}, \"delta\": {delta_ns}, \
-         \"flushed\": {flushed_ns}}},\n    \
-         {{\"name\": \"delta_merge\", \"rows_merged\": {merged}, \
-         \"bytes_programmed\": {}, \"host_secs\": {flush_secs:.3}}}\n  ],\n  \
-         \"acceptance\": {{\n    \"inserts_per_s\": {inserts_per_s:.0},\n    \
-         \"inserts_per_s_gate_min\": {inserts_per_s_gate_min:.0},\n    \
-         \"delta_query_slowdown\": {delta_query_slowdown:.2},\n    \
-         \"delta_query_slowdown_gate_max\": {delta_query_slowdown_gate_max:.1},\n    \
-         \"merge_write_amp\": {merge_write_amp:.1},\n    \
-         \"merge_write_amp_gate_max\": {merge_write_amp_gate_max:.1},\n    \
-         \"pass\": {pass}\n  }}\n}}\n",
-        flush_stats.bytes_programmed
-    );
-    std::fs::write("BENCH_PR3.json", &body).expect("write BENCH_PR3.json");
-    println!("{body}");
-    eprintln!("wrote BENCH_PR3.json");
-    assert!(pass, "insert bench gates failed");
+    report
+        .gate_min("inserts_per_s", fixed(inserts_per_s, 0), 2_000.0)
+        .gate_max("delta_query_slowdown", fixed(delta_query_slowdown, 2), 4.0)
+        .gate_max("merge_write_amp", fixed(merge_write_amp, 1), 30.0)
+        .finish("BENCH_PR3.json");
 }

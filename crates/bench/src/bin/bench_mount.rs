@@ -1,10 +1,11 @@
 //! Perf-trajectory runner for the durability subsystem: mount latency
 //! vs. a fresh bulk load, WAL replay throughput, and the flash overhead
-//! of the sealed image, written to `BENCH_PR4.json` at the repo root.
+//! of the sealed image, written to `BENCH_PR4.json` in the current
+//! directory.
 //!
 //! Usage: `cargo run --release -p ghostdb-bench --bin bench_mount`
 //!
-//! Workload: the write-path bench's two-table tree (Customer ←
+//! Workload: the shared [`ghostdb_bench::purchases`] tree (Customer ←
 //! Purchase), 20 000 base purchases. The base is sealed once; mounts
 //! are then timed against repeated fresh `GhostDb::create` loads of the
 //! same dataset. A second phase appends 2 000 post-seal rows (WAL-only)
@@ -12,35 +13,14 @@
 
 use std::time::Instant;
 
+use ghostdb_bench::gates::{fixed, Report};
+use ghostdb_bench::latency::best_of;
+use ghostdb_bench::purchases::{self, PROBE};
 use ghostdb_core::GhostDb;
-use ghostdb_storage::Dataset;
-use ghostdb_types::{DeviceConfig, Result, TableId, Value};
+use ghostdb_types::DeviceConfig;
 
-const DDL: &str = "\
-CREATE TABLE Customer (
-  CustID INTEGER PRIMARY KEY,
-  Region CHAR(12));
-CREATE TABLE Purchase (
-  OrdID INTEGER PRIMARY KEY,
-  Day INTEGER,
-  Item CHAR(16) HIDDEN,
-  Amount INTEGER HIDDEN,
-  CustID REFERENCES Customer(CustID) HIDDEN);";
-
-const CUSTOMERS: i64 = 64;
 const BASE_ROWS: i64 = 20_000;
 const WAL_ROWS: i64 = 2_000;
-const BATCH: usize = 100;
-
-fn purchase(i: i64, item_pool: i64) -> Vec<Value> {
-    vec![
-        Value::Int(i),
-        Value::Int(i % 365),
-        Value::Text(format!("item-{:03}", i % item_pool)),
-        Value::Int(10 + i % 990),
-        Value::Int(i % CUSTOMERS),
-    ]
-}
 
 fn config() -> DeviceConfig {
     let mut config = DeviceConfig::default_2007().with_delta_flush_rows(0);
@@ -50,77 +30,56 @@ fn config() -> DeviceConfig {
     config
 }
 
-fn dataset() -> Result<Dataset> {
-    let stmts = ghostdb_sql::parse_statements(DDL)?;
-    let schema = ghostdb_sql::bind_schema(&stmts)?;
-    let mut data = Dataset::empty(&schema);
-    let regions = ["north", "south", "east", "west"];
-    for i in 0..CUSTOMERS {
-        data.push_row(
-            TableId(0),
-            vec![Value::Int(i), Value::Text(regions[(i % 4) as usize].into())],
-        )?;
-    }
-    for i in 0..BASE_ROWS {
-        data.push_row(TableId(1), purchase(i, 40))?;
-    }
-    Ok(data)
-}
-
-const PROBE: &str = "SELECT Pur.OrdID, Cust.Region FROM Purchase Pur, Customer Cust \
-                     WHERE Pur.Item = 'item-007' AND Pur.CustID = Cust.CustID";
-
 fn main() {
-    let data = dataset().expect("dataset");
+    let mut report = Report::new(
+        4,
+        "Durable device images: seal/mount from flash, an insert WAL, and crash-injection \
+         recovery",
+    );
+    report.field(
+        "workload",
+        format!(
+            "Customer({}) <- Purchase({BASE_ROWS} sealed + {WAL_ROWS} WAL-only), 256 MiB \
+             part, batches of {}",
+            purchases::CUSTOMERS,
+            purchases::BATCH
+        ),
+    );
+    let data = purchases::dataset(BASE_ROWS).expect("dataset");
 
     // Phase 1: fresh-load cost (min of 3, host wall time).
-    let mut fresh_secs = f64::MAX;
-    let mut db = None;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let built = GhostDb::create(DDL, config(), &data).expect("create");
-        fresh_secs = fresh_secs.min(t0.elapsed().as_secs_f64());
-        db = Some(built);
-    }
-    let mut db = db.expect("built");
+    let (fresh_secs, mut db) = best_of(3, || {
+        GhostDb::create(purchases::DDL, config(), &data).expect("create")
+    });
     let expect = db.query(PROBE).expect("probe").rows.rows;
+    report.result("fresh_load", &[("host_secs", fixed(fresh_secs, 4))]);
 
     // Phase 2: seal, then time image-only mounts of the same part.
     let seal = db.seal().expect("seal");
     let payload_bytes = db.volume().usage().live_pages * db.config().flash.page_size as u64;
     let image_overhead = seal.image_bytes as f64 / payload_bytes as f64;
-    eprintln!(
-        "seal: epoch {}, image {} B over {} B of live payload (overhead {:.3})",
-        seal.epoch, seal.image_bytes, payload_bytes, image_overhead
-    );
     let nand = db.nand().clone();
     drop(db);
-    let mut mount_secs = f64::MAX;
-    let mut mounted = None;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let m = GhostDb::mount(nand.clone(), config()).expect("mount");
-        mount_secs = mount_secs.min(t0.elapsed().as_secs_f64());
-        mounted = Some(m);
-    }
-    let mounted_db = mounted.expect("mounted");
+    let (mount_secs, mut db) =
+        best_of(3, || GhostDb::mount(nand.clone(), config()).expect("mount"));
     assert_eq!(
-        mounted_db.query(PROBE).expect("mounted probe").rows.rows,
+        db.query(PROBE).expect("mounted probe").rows.rows,
         expect,
         "mounted image must answer like the fresh load"
     );
     let mount_speedup = fresh_secs / mount_secs.max(1e-9);
-    eprintln!("mount: {mount_secs:.3}s vs fresh load {fresh_secs:.3}s = {mount_speedup:.1}x");
+    report.result(
+        "mount",
+        &[
+            ("host_secs", fixed(mount_secs, 4)),
+            ("image_bytes", seal.image_bytes.into()),
+            ("payload_bytes", payload_bytes.into()),
+        ],
+    );
 
     // Phase 3: WAL replay throughput — append post-seal batches, then
     // time the mount that replays them.
-    let mut db = mounted_db;
-    let mut i = BASE_ROWS;
-    while i < BASE_ROWS + WAL_ROWS {
-        let batch: Vec<Vec<Value>> = (i..i + BATCH as i64).map(|j| purchase(j, 50)).collect();
-        db.insert_rows(TableId(1), batch).expect("insert");
-        i += BATCH as i64;
-    }
+    purchases::append(&mut db, BASE_ROWS, WAL_ROWS).expect("insert");
     let nand = db.nand().clone();
     drop(db);
     let t0 = Instant::now();
@@ -128,40 +87,25 @@ fn main() {
     let replay_secs = t0.elapsed().as_secs_f64().max(1e-9);
     assert_eq!(replayed.delta_rows(), WAL_ROWS as u64);
     let wal_replay_rows_per_s = WAL_ROWS as f64 / replay_secs;
-    eprintln!("replay: {WAL_ROWS} rows in {replay_secs:.3}s = {wal_replay_rows_per_s:.0} rows/s");
+    report.result(
+        "wal_replay",
+        &[
+            ("rows", WAL_ROWS.into()),
+            ("host_secs", fixed(replay_secs, 4)),
+        ],
+    );
 
     // Gates: a mount must never be slower than rebuilding from the
     // plaintext dataset (it skips validation, encoding, and index
     // construction); replay keeps a wide margin over any host; the
     // image must stay a fraction of the payload it describes.
-    let mount_speedup_gate_min = 1.0;
-    let wal_replay_rows_per_s_gate_min = 1_000.0;
-    let image_overhead_gate_max = 1.0;
-    let pass = mount_speedup >= mount_speedup_gate_min
-        && wal_replay_rows_per_s >= wal_replay_rows_per_s_gate_min
-        && image_overhead <= image_overhead_gate_max;
-
-    let body = format!(
-        "{{\n  \"pr\": 4,\n  \"title\": \"Durable device images: seal/mount from flash, an \
-         insert WAL, and crash-injection recovery\",\n  \
-         \"workload\": \"Customer({CUSTOMERS}) <- Purchase({BASE_ROWS} sealed + {WAL_ROWS} \
-         WAL-only), 256 MiB part, batches of {BATCH}\",\n  \
-         \"results\": [\n    \
-         {{\"name\": \"fresh_load\", \"host_secs\": {fresh_secs:.4}}},\n    \
-         {{\"name\": \"mount\", \"host_secs\": {mount_secs:.4}, \
-         \"image_bytes\": {}, \"payload_bytes\": {payload_bytes}}},\n    \
-         {{\"name\": \"wal_replay\", \"rows\": {WAL_ROWS}, \"host_secs\": {replay_secs:.4}}}\n  ],\n  \
-         \"acceptance\": {{\n    \"mount_speedup\": {mount_speedup:.2},\n    \
-         \"mount_speedup_gate_min\": {mount_speedup_gate_min:.1},\n    \
-         \"wal_replay_rows_per_s\": {wal_replay_rows_per_s:.0},\n    \
-         \"wal_replay_rows_per_s_gate_min\": {wal_replay_rows_per_s_gate_min:.0},\n    \
-         \"image_overhead\": {image_overhead:.3},\n    \
-         \"image_overhead_gate_max\": {image_overhead_gate_max:.1},\n    \
-         \"pass\": {pass}\n  }}\n}}\n",
-        seal.image_bytes
-    );
-    std::fs::write("BENCH_PR4.json", &body).expect("write BENCH_PR4.json");
-    println!("{body}");
-    eprintln!("wrote BENCH_PR4.json");
-    assert!(pass, "mount bench gates failed");
+    report
+        .gate_min("mount_speedup", fixed(mount_speedup, 2), 1.0)
+        .gate_min(
+            "wal_replay_rows_per_s",
+            fixed(wal_replay_rows_per_s, 0),
+            1_000.0,
+        )
+        .gate_max("image_overhead", fixed(image_overhead, 3), 1.0)
+        .finish("BENCH_PR4.json");
 }

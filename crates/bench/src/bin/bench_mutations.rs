@@ -2,11 +2,11 @@
 //! and update throughput, query latency while tombstones are resident
 //! vs. the compacted layout, and — the headline — how much flash a
 //! post-delete flush actually reclaims, then writes `BENCH_PR5.json`
-//! at the repo root.
+//! to the current directory.
 //!
 //! Usage: `cargo run --release -p ghostdb-bench --bin bench_mutations`
 //!
-//! Workload: the same two-table tree as `bench_inserts`
+//! Workload: the shared [`ghostdb_bench::purchases`] tree
 //! (Customer ← Purchase), base-loaded with 8 000 purchases and merged.
 //! Then: delete 2 000 purchases in batches of 100, update 1 000 more
 //! (rewriting a dict string and a fixed column), query against the
@@ -16,70 +16,34 @@
 
 use std::time::Instant;
 
+use ghostdb_bench::gates::{fixed, Report};
+use ghostdb_bench::latency::min_query_ns;
+use ghostdb_bench::purchases::{self, BATCH, HIDDEN_ROW_BYTES, PROBE, PURCHASE};
 use ghostdb_core::GhostDb;
 use ghostdb_ram::RamScope;
-use ghostdb_storage::Dataset;
-use ghostdb_types::{ColumnId, DeviceConfig, Result, RowId, TableId, Value};
+use ghostdb_types::{ColumnId, DeviceConfig, RowId, Value};
 
-const DDL: &str = "\
-CREATE TABLE Customer (
-  CustID INTEGER PRIMARY KEY,
-  Region CHAR(12));
-CREATE TABLE Purchase (
-  OrdID INTEGER PRIMARY KEY,
-  Day INTEGER,
-  Item CHAR(16) HIDDEN,
-  Amount INTEGER HIDDEN,
-  CustID REFERENCES Customer(CustID) HIDDEN);";
-
-const CUSTOMERS: i64 = 64;
 const BASE_ROWS: i64 = 8_000;
 const DELETE_ROWS: i64 = 2_000;
 const UPDATE_ROWS: i64 = 1_000;
-const BATCH: usize = 100;
-/// Hidden bytes one purchase holds in the store (4 B item code + 8 B
-/// amount key + 8 B custid key) — the per-row payload a delete retires.
-const HIDDEN_ROW_BYTES: u64 = 20;
-
-fn purchase(i: i64, item_pool: i64) -> Vec<Value> {
-    vec![
-        Value::Int(i),
-        Value::Int(i % 365),
-        Value::Text(format!("item-{:03}", i % item_pool)),
-        Value::Int(10 + i % 990),
-        Value::Int(i % CUSTOMERS),
-    ]
-}
-
-fn build() -> Result<GhostDb> {
-    let stmts = ghostdb_sql::parse_statements(DDL)?;
-    let schema = ghostdb_sql::bind_schema(&stmts)?;
-    let mut data = Dataset::empty(&schema);
-    let regions = ["north", "south", "east", "west"];
-    for i in 0..CUSTOMERS {
-        data.push_row(
-            TableId(0),
-            vec![Value::Int(i), Value::Text(regions[(i % 4) as usize].into())],
-        )?;
-    }
-    for i in 0..BASE_ROWS {
-        data.push_row(TableId(1), purchase(i, 40))?;
-    }
-    // Manual flush only: the bench controls the compaction point.
-    let config = DeviceConfig::default_2007().with_delta_flush_rows(0);
-    GhostDb::create(DDL, config, &data)
-}
-
-/// Minimum simulated latency of the probe query over a few runs.
-fn query_ns(db: &GhostDb, sql: &str) -> Result<u64> {
-    ghostdb_bench::latency::min_query_ns(db, sql, 3)
-}
 
 fn main() {
-    let mut db = build().expect("build");
-    let sql = "SELECT Pur.OrdID, Cust.Region FROM Purchase Pur, Customer Cust \
-               WHERE Pur.Item = 'item-007' AND Pur.CustID = Cust.CustID";
-    let merged_ns = query_ns(&db, sql).expect("merged query");
+    let mut report = Report::new(
+        5,
+        "Full DML: tombstone-aware DELETE/UPDATE with flush-time compaction",
+    );
+    report.field(
+        "workload",
+        format!(
+            "Customer(64) <- Purchase(8000 base, merged; 2000 deleted, 1000 updated in \
+             batches of {BATCH})"
+        ),
+    );
+    // Manual flush only: the bench controls the compaction point.
+    let config = DeviceConfig::default_2007().with_delta_flush_rows(0);
+    let data = purchases::dataset(BASE_ROWS).expect("dataset");
+    let mut db = GhostDb::create(purchases::DDL, config, &data).expect("build");
+    let merged_ns = min_query_ns(&db, PROBE, 3).expect("merged query");
 
     // Phase 1: delete throughput (host wall time). Purchases are the
     // tree root, so nothing references them — RESTRICT never fires.
@@ -90,15 +54,19 @@ fn main() {
     for _ in 0..(DELETE_ROWS as usize / BATCH) {
         let start = (BASE_ROWS - DELETE_ROWS) as u32;
         let batch: Vec<RowId> = (start..start + BATCH as u32).map(RowId).collect();
-        db.delete_rows(TableId(1), batch).expect("delete batch");
+        db.delete_rows(PURCHASE, batch).expect("delete batch");
     }
     let delete_secs = t0.elapsed().as_secs_f64().max(1e-9);
     let deletes_per_s = DELETE_ROWS as f64 / delete_secs;
-    assert_eq!(
-        db.stats().rows(TableId(1)),
-        (BASE_ROWS - DELETE_ROWS) as u64
+    assert_eq!(db.stats().rows(PURCHASE), (BASE_ROWS - DELETE_ROWS) as u64);
+    report.result(
+        "delete_throughput",
+        &[
+            ("rows", DELETE_ROWS.into()),
+            ("host_secs", fixed(delete_secs, 3)),
+            ("rows_per_s", fixed(deletes_per_s, 0)),
+        ],
     );
-    eprintln!("deletes: {DELETE_ROWS} rows in {delete_secs:.3}s = {deletes_per_s:.0} rows/s");
 
     // Phase 2: update throughput (dict rewrite + fixed rewrite; ~half
     // the items land outside every dictionary seen so far, so the
@@ -108,7 +76,7 @@ fn main() {
         let start = (b * BATCH) as u32;
         let rows: Vec<RowId> = (start..start + BATCH as u32).map(RowId).collect();
         db.update_rows(
-            TableId(1),
+            PURCHASE,
             rows,
             vec![
                 (ColumnId(2), Value::Text(format!("patched-{b:03}"))),
@@ -119,10 +87,17 @@ fn main() {
     }
     let update_secs = t0.elapsed().as_secs_f64().max(1e-9);
     let updates_per_s = UPDATE_ROWS as f64 / update_secs;
-    eprintln!("updates: {UPDATE_ROWS} rows in {update_secs:.3}s = {updates_per_s:.0} rows/s");
+    report.result(
+        "update_throughput",
+        &[
+            ("rows", UPDATE_ROWS.into()),
+            ("host_secs", fixed(update_secs, 3)),
+            ("rows_per_s", fixed(updates_per_s, 0)),
+        ],
+    );
 
     // Phase 3: query latency with tombstones + overlays resident.
-    let tombstone_ns = query_ns(&db, sql).expect("tombstone query");
+    let tombstone_ns = min_query_ns(&db, PROBE, 3).expect("tombstone query");
     let tombstone_query_slowdown = tombstone_ns as f64 / merged_ns as f64;
 
     // Phase 4: the compacting flush — dead rows physically dropped —
@@ -145,67 +120,48 @@ fn main() {
     let page = db.config().flash.page_size as u64;
     let reclaimed_bytes = live_before.live_pages.saturating_sub(live_after.live_pages) * page;
     let deleted_bytes = DELETE_ROWS as u64 * HIDDEN_ROW_BYTES;
-    eprintln!(
-        "flush: {flush_secs:.3}s, live pages {} -> {} (reclaimed {} B of {} B deleted), \
-         GC erased {gc_pages_reclaimed} dead pages, free blocks {} -> {}",
-        live_before.live_pages,
-        live_after.live_pages,
-        reclaimed_bytes,
-        deleted_bytes,
-        live_before.free_blocks,
-        live_after.free_blocks,
-    );
 
     // Phase 5: query latency on the compacted layout (sanity: the
     // smaller store must not be slower than the tombstoned one).
-    let compacted_ns = query_ns(&db, sql).expect("compacted query");
+    let compacted_ns = min_query_ns(&db, PROBE, 3).expect("compacted query");
+    report
+        .result(
+            "query_latency_sim_ns",
+            &[
+                ("merged", merged_ns.into()),
+                ("tombstone_resident", tombstone_ns.into()),
+                ("compacted", compacted_ns.into()),
+            ],
+        )
+        .result(
+            "post_delete_flush",
+            &[
+                ("host_secs", fixed(flush_secs, 3)),
+                ("live_pages_before", live_before.live_pages.into()),
+                ("live_pages_after", live_after.live_pages.into()),
+                ("gc_pages_erased", gc_pages_reclaimed.into()),
+                ("free_blocks_before", live_before.free_blocks.into()),
+                ("free_blocks_after", live_after.free_blocks.into()),
+            ],
+        );
 
     // Gates. Throughputs have wide margin on any host; tombstone-
     // resident queries must stay within 4x of the merged layout; a
     // post-delete flush must hand back at least half the deleted rows'
     // bytes (in practice it reclaims far more — postings and SKT rows
     // die with their rows).
-    let deletes_per_s_gate_min = 2_000.0;
-    let updates_per_s_gate_min = 500.0;
-    let tombstone_query_slowdown_gate_max = 4.0;
-    let reclaimed_bytes_gate_min = (deleted_bytes / 2) as f64;
-    let pass = deletes_per_s >= deletes_per_s_gate_min
-        && updates_per_s >= updates_per_s_gate_min
-        && tombstone_query_slowdown <= tombstone_query_slowdown_gate_max
-        && reclaimed_bytes as f64 >= reclaimed_bytes_gate_min;
-
-    let body = format!(
-        "{{\n  \"pr\": 5,\n  \"title\": \"Full DML: tombstone-aware DELETE/UPDATE with \
-         flush-time compaction\",\n  \
-         \"workload\": \"Customer(64) <- Purchase(8000 base, merged; 2000 deleted, 1000 \
-         updated in batches of {BATCH})\",\n  \
-         \"results\": [\n    \
-         {{\"name\": \"delete_throughput\", \"rows\": {DELETE_ROWS}, \
-         \"host_secs\": {delete_secs:.3}, \"rows_per_s\": {deletes_per_s:.0}}},\n    \
-         {{\"name\": \"update_throughput\", \"rows\": {UPDATE_ROWS}, \
-         \"host_secs\": {update_secs:.3}, \"rows_per_s\": {updates_per_s:.0}}},\n    \
-         {{\"name\": \"query_latency_sim_ns\", \"merged\": {merged_ns}, \
-         \"tombstone_resident\": {tombstone_ns}, \"compacted\": {compacted_ns}}},\n    \
-         {{\"name\": \"post_delete_flush\", \"host_secs\": {flush_secs:.3}, \
-         \"live_pages_before\": {}, \"live_pages_after\": {}, \
-         \"gc_pages_erased\": {gc_pages_reclaimed}, \
-         \"free_blocks_before\": {}, \"free_blocks_after\": {}}}\n  ],\n  \
-         \"acceptance\": {{\n    \"deletes_per_s\": {deletes_per_s:.0},\n    \
-         \"deletes_per_s_gate_min\": {deletes_per_s_gate_min:.0},\n    \
-         \"updates_per_s\": {updates_per_s:.0},\n    \
-         \"updates_per_s_gate_min\": {updates_per_s_gate_min:.0},\n    \
-         \"tombstone_query_slowdown\": {tombstone_query_slowdown:.2},\n    \
-         \"tombstone_query_slowdown_gate_max\": {tombstone_query_slowdown_gate_max:.1},\n    \
-         \"reclaimed_bytes\": {reclaimed_bytes},\n    \
-         \"reclaimed_bytes_gate_min\": {reclaimed_bytes_gate_min:.0},\n    \
-         \"pass\": {pass}\n  }}\n}}\n",
-        live_before.live_pages,
-        live_after.live_pages,
-        live_before.free_blocks,
-        live_after.free_blocks,
-    );
-    std::fs::write("BENCH_PR5.json", &body).expect("write BENCH_PR5.json");
-    println!("{body}");
-    eprintln!("wrote BENCH_PR5.json");
-    assert!(pass, "mutation bench gates failed");
+    report
+        .gate_min("deletes_per_s", fixed(deletes_per_s, 0), 2_000.0)
+        .gate_min("updates_per_s", fixed(updates_per_s, 0), 500.0)
+        .gate_max(
+            "tombstone_query_slowdown",
+            fixed(tombstone_query_slowdown, 2),
+            4.0,
+        )
+        .gate_min(
+            "reclaimed_bytes",
+            reclaimed_bytes,
+            (deleted_bytes / 2) as f64,
+        )
+        .finish("BENCH_PR5.json");
 }

@@ -1,6 +1,6 @@
 //! Perf-trajectory runner for the flight recorder: proves the
 //! observability layer is free where it must be and fast where it is
-//! used, then writes `BENCH_PR9.json` at the repo root.
+//! used, then writes `BENCH_PR9.json` to the current directory.
 //!
 //! Usage: `cargo run --release -p ghostdb-bench --bin bench_observability`
 //!
@@ -19,16 +19,26 @@
 
 use std::time::Instant;
 
-use ghostdb_bench::{latency::min_query_ns, medical_fixture};
+use ghostdb_bench::gates::{fixed, Report};
+use ghostdb_bench::{latency::min_query_ns, medical_fixture, Fixture};
 use ghostdb_workload::paper_query;
 
 const PRESCRIPTIONS: usize = 2_000;
 const SCRAPES: usize = 2_000;
 
 fn main() {
-    let f = medical_fixture(PRESCRIPTIONS).expect("build medical fixture");
-    let db = f.db;
-    let sql = paper_query(f.cfg.date_start);
+    let mut report = Report::new(
+        9,
+        "Flight recorder: query tracing, EXPLAIN ANALYZE, and an engine-wide metrics registry",
+    );
+    report.field(
+        "workload",
+        format!(
+            "medical({PRESCRIPTIONS} prescriptions), paper query; {SCRAPES} Prometheus scrapes"
+        ),
+    );
+    let Fixture { db, cfg } = medical_fixture(PRESCRIPTIONS).expect("build medical fixture");
+    let sql = paper_query(cfg.date_start);
 
     // Phase 1: simulated device time, recorder off vs. fully traced.
     let off_ns = min_query_ns(&db, &sql, 5).expect("recorder-off query");
@@ -39,10 +49,17 @@ fn main() {
         "tracing was on but recorded nothing"
     );
     db.set_tracing(false);
-    let recorder_off_overhead = off_ns as f64 / on_ns.max(1) as f64;
-    eprintln!(
-        "device time: recorder off {off_ns} sim ns, traced {on_ns} sim ns, \
-         off/on ratio {recorder_off_overhead:.3}"
+    report.result(
+        "query_sim_ns",
+        &[
+            ("recorder_off", off_ns.into()),
+            ("recorder_on", on_ns.into()),
+        ],
+    );
+    report.gate_max(
+        "recorder_off_overhead",
+        fixed(off_ns as f64 / on_ns.max(1) as f64, 3),
+        1.10,
     );
 
     // Host-side cost of the same toggle (informational, not gated:
@@ -54,51 +71,33 @@ fn main() {
             db.query(&sql).expect("host-timing query");
         }
         db.set_tracing(false);
-        t0.elapsed().as_secs_f64() / 20.0
+        fixed(t0.elapsed().as_secs_f64() / 20.0, 6)
     };
-    let host_off_s = host(false);
-    let host_on_s = host(true);
+    report.result(
+        "query_host_secs",
+        &[("recorder_off", host(false)), ("recorder_on", host(true))],
+    );
 
     // Phase 2: metrics scrape throughput (snapshot + Prometheus text).
     let t0 = Instant::now();
-    let mut bytes = 0usize;
     for _ in 0..SCRAPES {
-        bytes += db.metrics_text().len();
+        std::hint::black_box(db.metrics_text());
     }
     let scrape_secs = t0.elapsed().as_secs_f64().max(1e-9);
     let metrics_scrape_per_s = SCRAPES as f64 / scrape_secs;
-    eprintln!(
-        "scrapes: {SCRAPES} in {scrape_secs:.3}s = {metrics_scrape_per_s:.0}/s \
-         ({} B average exposition)",
-        bytes / SCRAPES
+    report.result(
+        "metrics_scrape",
+        &[
+            ("count", SCRAPES.into()),
+            ("host_secs", fixed(scrape_secs, 3)),
+            ("per_s", fixed(metrics_scrape_per_s, 0)),
+        ],
     );
-
-    let recorder_off_overhead_gate_max = 1.10;
-    let metrics_scrape_per_s_gate_min = 1_000.0;
-    let pass = recorder_off_overhead <= recorder_off_overhead_gate_max
-        && metrics_scrape_per_s >= metrics_scrape_per_s_gate_min;
-
-    let body = format!(
-        "{{\n  \"pr\": 9,\n  \"title\": \"Flight recorder: query tracing, EXPLAIN ANALYZE, \
-         and an engine-wide metrics registry\",\n  \
-         \"workload\": \"medical({PRESCRIPTIONS} prescriptions), paper query; \
-         {SCRAPES} Prometheus scrapes\",\n  \
-         \"results\": [\n    \
-         {{\"name\": \"query_sim_ns\", \"recorder_off\": {off_ns}, \
-         \"recorder_on\": {on_ns}}},\n    \
-         {{\"name\": \"query_host_secs\", \"recorder_off\": {host_off_s:.6}, \
-         \"recorder_on\": {host_on_s:.6}}},\n    \
-         {{\"name\": \"metrics_scrape\", \"count\": {SCRAPES}, \
-         \"host_secs\": {scrape_secs:.3}, \"per_s\": {metrics_scrape_per_s:.0}}}\n  ],\n  \
-         \"acceptance\": {{\n    \
-         \"recorder_off_overhead\": {recorder_off_overhead:.3},\n    \
-         \"recorder_off_overhead_gate_max\": {recorder_off_overhead_gate_max:.2},\n    \
-         \"metrics_scrape_per_s\": {metrics_scrape_per_s:.0},\n    \
-         \"metrics_scrape_per_s_gate_min\": {metrics_scrape_per_s_gate_min:.0},\n    \
-         \"pass\": {pass}\n  }}\n}}\n"
-    );
-    std::fs::write("BENCH_PR9.json", &body).expect("write BENCH_PR9.json");
-    println!("{body}");
-    eprintln!("wrote BENCH_PR9.json");
-    assert!(pass, "observability bench gates failed");
+    report
+        .gate_min(
+            "metrics_scrape_per_s",
+            fixed(metrics_scrape_per_s, 0),
+            1_000.0,
+        )
+        .finish("BENCH_PR9.json");
 }

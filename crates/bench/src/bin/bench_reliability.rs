@@ -1,7 +1,7 @@
 //! Perf-trajectory runner for the reliability subsystem: the read-path
 //! cost of the per-page ECC codeword, scrub throughput, and recovery
 //! success under combined power-cut + bit-rot injection, written to
-//! `BENCH_PR6.json` at the repo root.
+//! `BENCH_PR6.json` in the current directory.
 //!
 //! Usage: `cargo run --release -p ghostdb-bench --bin bench_reliability`
 //!
@@ -17,7 +17,7 @@
 //!    times and raw segment-scan throughputs on both parts are
 //!    reported alongside as context.
 //! 2. **Scrub**: every programmed page gets one retention flip, reads
-//!    push the corrected-read counters past `scrub_threshold`, and one
+//!    push the corrected-read counters past `SCRUB_THRESHOLD`, and one
 //!    explicit [`Volume::scrub`] pass relocates them all. Reports
 //!    rewritten MB per host second.
 //! 3. **Recovery**: torn power cuts spread across an insert + flush
@@ -28,8 +28,10 @@
 
 use std::time::Instant;
 
+use ghostdb_bench::gates::{fixed, Report};
+use ghostdb_bench::latency::best_of;
 use ghostdb_core::GhostDb;
-use ghostdb_flash::{Nand, PageAddr, PageState, Segment, Volume};
+use ghostdb_flash::{Nand, PageAddr, PageState, Segment, Volume, SCRUB_THRESHOLD};
 use ghostdb_ram::{RamBudget, RamScope};
 use ghostdb_storage::Dataset;
 use ghostdb_types::{DeviceConfig, FlashConfig, Result, SimClock, TableId, Value};
@@ -110,7 +112,7 @@ fn ecc_overhead_phase() -> Result<(f64, f64)> {
     let data = generate_medical(&cfg)?;
     let sql = selectivity_query(cfg.date_start, cfg.date_span_days, 0.8);
     let mut sim_ns = [0u64; 2];
-    let mut secs = [f64::MAX; 2];
+    let mut secs = [0.0; 2];
     for (slot, ecc) in [(0usize, false), (1usize, true)] {
         let mut device = DeviceConfig::default_2007();
         device.flash.ecc_enabled = ecc;
@@ -119,47 +121,58 @@ fn ecc_overhead_phase() -> Result<(f64, f64)> {
         let spec = db.bind(&sql)?;
         let plan = db.plan_pre(&spec);
         db.run(&spec, &plan)?;
-        for _ in 0..5 {
-            let t0 = Instant::now();
-            let out = db.run(&spec, &plan)?;
-            secs[slot] = secs[slot].min(t0.elapsed().as_secs_f64());
-            sim_ns[slot] = out.report.total_ns;
-        }
+        let (best, out) = best_of(5, || db.run(&spec, &plan));
+        secs[slot] = best;
+        sim_ns[slot] = out?.report.total_ns;
     }
     Ok((sim_ns[1] as f64 / sim_ns[0] as f64, secs[1] / secs[0]))
 }
 
+/// Flip one bit in every `step`-th programmed page of `nand`.
+fn rot(nand: &Nand, step: usize) -> Result<()> {
+    let cfg = nand.config().clone();
+    for p in (0..cfg.num_blocks * cfg.pages_per_block).step_by(step) {
+        let addr = PageAddr(p as u32);
+        if nand.page_state(addr)? == PageState::Programmed {
+            nand.corrupt_page(
+                addr,
+                (p as u32).wrapping_mul(131) % (cfg.page_size as u32 * 8),
+            )?;
+        }
+    }
+    Ok(())
+}
+
 /// Phase 2: rot one bit in every programmed page, cross the
 /// corrected-read threshold, and time the scrub pass that relocates
-/// them. Returns (MB rewritten per host second, pages rewritten).
-fn scrub_phase() -> Result<(f64, u64)> {
+/// them; reports MB rewritten per host second.
+fn scrub_phase(report: &mut Report) -> Result<()> {
     let vol = volume(true);
     let nand = vol.nand().clone();
     let scope = RamScope::new(&RamBudget::new(PAGE * PPB + 64 * 1024));
     let segments = load(&vol, &scope, 128)?;
 
-    let cfg = nand.config().clone();
-    for p in 0..cfg.num_blocks * cfg.pages_per_block {
-        let addr = PageAddr(p as u32);
-        if nand.page_state(addr)? == PageState::Programmed {
-            nand.corrupt_page(addr, (p as u32).wrapping_mul(131) % (PAGE as u32 * 8))?;
-        }
-    }
-    // Each read of a rotted page counts one correction; two passes push
-    // every page to the default threshold of 2.
-    read_all(&vol, &scope, &segments, cfg.scrub_threshold as usize)?;
+    rot(&nand, 1)?;
+    // Each read of a rotted page counts one correction; one pass per
+    // unit of the threshold pushes every page onto it.
+    read_all(&vol, &scope, &segments, SCRUB_THRESHOLD as usize)?;
 
     let t0 = Instant::now();
-    let report = vol.scrub(&scope)?;
+    let scrub = vol.scrub(&scope)?;
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
-    let mb = (report.pages_rewritten * PAGE as u64) as f64 / (1024.0 * 1024.0);
+    let mb = (scrub.pages_rewritten * PAGE as u64) as f64 / (1024.0 * 1024.0);
     let rel = vol.reliability();
     assert_eq!(
         rel.uncorrectable, 0,
         "single flips must all correct: {rel:?}"
     );
-    assert!(report.pages_rewritten > 0, "scrub found nothing to do");
-    Ok((mb / secs, report.pages_rewritten))
+    assert!(scrub.pages_rewritten > 0, "scrub found nothing to do");
+    report.result(
+        "scrub",
+        &[("pages_relocated", scrub.pages_rewritten.into())],
+    );
+    report.gate_min("scrub_mb_per_s", fixed(mb / secs, 1), 10.0);
+    Ok(())
 }
 
 const DDL: &str = "\
@@ -200,7 +213,8 @@ fn recovery_config() -> DeviceConfig {
     config
 }
 
-fn build_sealed() -> GhostDb {
+/// Every doctor plus visits `0..visits`, freshly loaded.
+fn create(visits: i64) -> GhostDb {
     let stmts = ghostdb_sql::parse_statements(DDL).expect("parse");
     let schema = ghostdb_sql::bind_schema(&stmts).expect("bind");
     let mut data = Dataset::empty(&schema);
@@ -215,10 +229,14 @@ fn build_sealed() -> GhostDb {
         )
         .expect("doctor");
     }
-    for i in 0..BASE_VISITS {
+    for i in 0..visits {
         data.push_row(TableId(1), visit(i)).expect("visit");
     }
-    let mut db = GhostDb::create(DDL, recovery_config(), &data).expect("create");
+    GhostDb::create(DDL, recovery_config(), &data).expect("create")
+}
+
+fn build_sealed() -> GhostDb {
+    let mut db = create(BASE_VISITS);
     db.seal().expect("seal");
     db
 }
@@ -237,30 +255,13 @@ fn run_workload(db: &mut GhostDb) -> Result<()> {
 const PROBE: &str = "SELECT Vis.VisID, Vis.Purpose FROM Visit Vis WHERE Vis.Severity >= 3";
 
 /// Phase 3: torn cuts spread across the workload, plus one rotted bit
-/// in every seventh programmed page before each mount. Returns
-/// (success rate, trials).
-fn recovery_phase(trials: u64) -> (f64, u64) {
+/// in every seventh programmed page before each mount. Returns the
+/// success rate.
+fn recovery_phase(trials: u64) -> f64 {
     // Reference probe rows after each whole-batch prefix.
     let references: Vec<Vec<Vec<Value>>> = (0..=BATCHES)
         .map(|k| {
-            let stmts = ghostdb_sql::parse_statements(DDL).expect("parse");
-            let schema = ghostdb_sql::bind_schema(&stmts).expect("bind");
-            let mut data = Dataset::empty(&schema);
-            for i in 0..DOCTORS {
-                data.push_row(
-                    TableId(0),
-                    vec![
-                        Value::Int(i),
-                        Value::Text(format!("doc{i}")),
-                        Value::Text(if i % 2 == 0 { "France" } else { "Spain" }.into()),
-                    ],
-                )
-                .expect("doctor");
-            }
-            for i in 0..BASE_VISITS + (k as i64) * BATCH {
-                data.push_row(TableId(1), visit(i)).expect("visit");
-            }
-            let db = GhostDb::create(DDL, recovery_config(), &data).expect("reference");
+            let db = create(BASE_VISITS + (k as i64) * BATCH);
             db.query(PROBE).expect("reference probe").rows.rows
         })
         .collect();
@@ -287,14 +288,7 @@ fn recovery_phase(trials: u64) -> (f64, u64) {
         drop(db);
         nand.disarm_power_cut();
 
-        let cfg = nand.config().clone();
-        for p in (0..cfg.num_blocks * cfg.pages_per_block).step_by(7) {
-            let addr = PageAddr(p as u32);
-            if nand.page_state(addr).expect("state") == PageState::Programmed {
-                let bit = (p as u32).wrapping_mul(131) % (cfg.page_size as u32 * 8);
-                nand.corrupt_page(addr, bit).expect("rot");
-            }
-        }
+        rot(&nand, 7).expect("rot");
 
         let recovered = GhostDb::mount(nand, recovery_config())
             .ok()
@@ -312,56 +306,51 @@ fn recovery_phase(trials: u64) -> (f64, u64) {
             eprintln!("recovery trial {t}: cut at op {n} recovered no whole-batch prefix");
         }
     }
-    (successes as f64 / trials as f64, trials)
+    successes as f64 / trials as f64
 }
 
 fn main() {
+    let mut report = Report::new(
+        6,
+        "Dying-flash reliability: ECC, grown bad blocks, scrubbing, and recovery under fault \
+         injection",
+    );
+    report
+        .field(
+            "geometry",
+            "2 KiB pages, 64 pages/block, 256-block part for ECC/scrub; 256 B pages, 8 \
+             pages/block, 512-block part for recovery",
+        )
+        .field(
+            "payload",
+            "medical 80%-selectivity query under a 16 KiB RAM budget on raw vs protected \
+             parts; one retention flip per programmed page before scrub; torn power cuts plus \
+             rot in every seventh page before each recovery mount",
+        );
+
     let (ecc_read_overhead, host_overhead) = ecc_overhead_phase().expect("ecc phase");
     let raw_mb_s = scan_mb_per_s(false).expect("raw scan");
     let ecc_mb_s = scan_mb_per_s(true).expect("protected scan");
-    eprintln!(
-        "ecc:      {ecc_read_overhead:.3}x simulated query overhead, {host_overhead:.3}x host \
-         (raw scan {raw_mb_s:.0} MB/s, protected scan {ecc_mb_s:.0} MB/s)"
+    report.result(
+        "ecc_read",
+        &[
+            ("host_overhead", fixed(host_overhead, 3)),
+            ("raw_scan_mb_per_s", fixed(raw_mb_s, 0)),
+            ("protected_scan_mb_per_s", fixed(ecc_mb_s, 0)),
+        ],
     );
+    report.gate_max("ecc_read_overhead", fixed(ecc_read_overhead, 3), 1.5);
 
-    let (scrub_mb_per_s, scrub_pages) = scrub_phase().expect("scrub phase");
-    eprintln!("scrub:    {scrub_mb_per_s:.1} MB/s ({scrub_pages} rotted pages relocated)");
+    scrub_phase(&mut report).expect("scrub phase");
 
     let trials = 24;
-    let (recovery_success_rate, _) = recovery_phase(trials);
-    eprintln!("recovery: {trials} torn cuts + rot, success rate {recovery_success_rate:.3}");
-
-    let overhead_gate_max = 1.5;
-    let scrub_gate_min = 10.0;
-    let recovery_gate_min = 1.0;
-    let pass = ecc_read_overhead <= overhead_gate_max
-        && scrub_mb_per_s >= scrub_gate_min
-        && recovery_success_rate >= recovery_gate_min;
-
-    let body = format!(
-        "{{\n  \"pr\": 6,\n  \"title\": \"Dying-flash reliability: ECC, grown bad blocks, \
-         scrubbing, and recovery under fault injection\",\n  \
-         \"geometry\": \"2 KiB pages, 64 pages/block, 256-block part for ECC/scrub; \
-         256 B pages, 8 pages/block, 512-block part for recovery\",\n  \
-         \"payload\": \"medical 80%-selectivity query under a 16 KiB RAM budget on raw vs \
-         protected parts; one retention flip per programmed page before scrub; torn power \
-         cuts plus rot in every seventh page before each recovery mount\",\n  \
-         \"results\": [\n    \
-         {{\"name\": \"ecc_read\", \"host_overhead\": {host_overhead:.3}, \
-         \"raw_scan_mb_per_s\": {raw_mb_s:.0}, \
-         \"protected_scan_mb_per_s\": {ecc_mb_s:.0}}},\n    \
-         {{\"name\": \"scrub\", \"pages_relocated\": {scrub_pages}}},\n    \
-         {{\"name\": \"recovery\", \"trials\": {trials}}}\n  ],\n  \
-         \"acceptance\": {{\n    \"ecc_read_overhead\": {ecc_read_overhead:.3},\n    \
-         \"ecc_read_overhead_gate_max\": {overhead_gate_max:.1},\n    \
-         \"scrub_mb_per_s\": {scrub_mb_per_s:.1},\n    \
-         \"scrub_mb_per_s_gate_min\": {scrub_gate_min:.1},\n    \
-         \"recovery_success_rate\": {recovery_success_rate:.3},\n    \
-         \"recovery_success_rate_gate_min\": {recovery_gate_min:.1},\n    \
-         \"pass\": {pass}\n  }}\n}}\n"
-    );
-    std::fs::write("BENCH_PR6.json", &body).expect("write BENCH_PR6.json");
-    println!("{body}");
-    eprintln!("wrote BENCH_PR6.json");
-    assert!(pass, "reliability bench gates failed");
+    let recovery_success_rate = recovery_phase(trials);
+    report.result("recovery", &[("trials", trials.into())]);
+    report
+        .gate_min(
+            "recovery_success_rate",
+            fixed(recovery_success_rate, 3),
+            1.0,
+        )
+        .finish("BENCH_PR6.json");
 }

@@ -1,5 +1,5 @@
 //! Perf-trajectory runner for the device-RAM page cache at scale,
-//! written to `BENCH_PR10.json` at the repo root.
+//! written to `BENCH_PR10.json` in the current directory.
 //!
 //! Usage: `cargo run --release -p ghostdb-bench --bin bench_scale`
 //! (full, paper-scale run) or `... -- --smoke` (small-N CI canary that
@@ -32,8 +32,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
+use ghostdb_bench::gates::{fixed, Report};
 use ghostdb_core::GhostDb;
-use ghostdb_types::{ColumnId, DeviceConfig, Result, TableId, Value};
+use ghostdb_types::{ColumnId, DeviceConfig, Result, RowId, TableId, Value};
 use ghostdb_workload::{
     generate_scale, scale_point_query, scale_row, OpStream, ScaleConfig, ScaleMix, ScaleOp,
     Zipfian, SCALE_DDL,
@@ -48,53 +49,42 @@ struct Dials {
     speedup_queries: usize,
     mixed_ops: usize,
     flush_every: usize,
-    write_json: bool,
+    speedup_gate_min: f64,
+    ops_gate_min: f64,
 }
 
-impl Dials {
-    fn full() -> Dials {
-        Dials {
-            rows: 1_000_000,
-            speedup_queries: 256,
-            mixed_ops: 1_200,
-            flush_every: 200,
-            write_json: true,
-        }
-    }
+const FULL: Dials = Dials {
+    rows: 1_000_000,
+    speedup_queries: 256,
+    mixed_ops: 1_200,
+    flush_every: 200,
+    speedup_gate_min: 3.0,
+    ops_gate_min: 2.0,
+};
 
-    fn smoke() -> Dials {
-        Dials {
-            rows: 20_000,
-            speedup_queries: 64,
-            mixed_ops: 200,
-            flush_every: 50,
-            write_json: false,
-        }
-    }
-}
-
-struct SpeedupOut {
-    cold_sim_ns: u64,
-    warm_sim_ns: u64,
-    speedup: f64,
-    hits: u64,
-    misses: u64,
-    hit_rate: f64,
-}
+const SMOKE: Dials = Dials {
+    rows: 20_000,
+    speedup_queries: 64,
+    mixed_ops: 200,
+    flush_every: 50,
+    // Smoke keeps the same gate *shape* at friendlier levels: the tiny
+    // dataset still shows the cache working, without paper-scale churn.
+    speedup_gate_min: 1.5,
+    ops_gate_min: 5.0,
+};
 
 /// Run the query script and return total simulated ns.
 fn run_script(db: &GhostDb, queries: &[String]) -> Result<u64> {
-    let mut total = 0u64;
-    for sql in queries {
-        total += db.query(sql)?.report.total_ns;
-    }
-    Ok(total)
+    queries
+        .iter()
+        .map(|sql| Ok(db.query(sql)?.report.total_ns))
+        .sum()
 }
 
 /// Phase 1: identical deterministic loads, cache-off vs cache-on,
 /// identical zipfian point-query script, compared in simulated device
 /// time.
-fn speedup_phase(cfg: &ScaleConfig, n_queries: usize) -> Result<SpeedupOut> {
+fn speedup_phase(cfg: &ScaleConfig, dials: &Dials, report: &mut Report) -> Result<()> {
     let data = generate_scale(cfg)?;
 
     // Bursty zipfian: *which* key is probed follows the zipfian law,
@@ -105,7 +95,7 @@ fn speedup_phase(cfg: &ScaleConfig, n_queries: usize) -> Result<SpeedupOut> {
     // pays the NAND transfer for every probe, cache-on once per burst.
     const BURST: usize = 8;
     let mut z = Zipfian::new(cfg.payload_cardinality as u64, cfg.theta, 0xfeed_f00d);
-    let queries: Vec<String> = (0..n_queries.div_ceil(BURST))
+    let queries: Vec<String> = (0..dials.speedup_queries.div_ceil(BURST))
         .flat_map(|_| {
             let q = scale_point_query(z.next() as i64);
             std::iter::repeat_n(q, BURST)
@@ -146,30 +136,31 @@ fn speedup_phase(cfg: &ScaleConfig, n_queries: usize) -> Result<SpeedupOut> {
     );
 
     let (hits, misses) = (stats.hits - s0.hits, stats.misses - s0.misses);
-    Ok(SpeedupOut {
-        cold_sim_ns,
-        warm_sim_ns,
-        speedup: cold_sim_ns as f64 / warm_sim_ns.max(1) as f64,
-        hits,
-        misses,
-        hit_rate: hits as f64 / (hits + misses).max(1) as f64,
-    })
-}
-
-struct MixedOut {
-    ops: usize,
-    flushes: usize,
-    host_secs: f64,
-    ops_per_sec: f64,
-    sim_ms: f64,
-    reader_queries: usize,
-    p50_ms: f64,
-    p99_ms: f64,
+    report.result(
+        "cached_reads",
+        &[
+            ("cold_sim_ms", fixed(cold_sim_ns as f64 / 1e6, 2)),
+            ("warm_sim_ms", fixed(warm_sim_ns as f64 / 1e6, 2)),
+            ("cache_hits", hits.into()),
+            ("cache_misses", misses.into()),
+            (
+                "hit_rate",
+                fixed(hits as f64 / (hits + misses).max(1) as f64, 3),
+            ),
+        ],
+    );
+    let speedup = cold_sim_ns as f64 / warm_sim_ns.max(1) as f64;
+    report.gate_min(
+        "cached_read_speedup",
+        fixed(speedup, 2),
+        dials.speedup_gate_min,
+    );
+    Ok(())
 }
 
 /// Phase 2: mixed zipfian churn with periodic full flushes under a
 /// hammering snapshot reader.
-fn mixed_phase(cfg: &ScaleConfig, dials: &Dials) -> Result<MixedOut> {
+fn mixed_phase(cfg: &ScaleConfig, dials: &Dials, report: &mut Report) -> Result<()> {
     let data = generate_scale(cfg)?;
     let config = DeviceConfig::default_2007().with_delta_flush_rows(0);
     let mut db = GhostDb::create(SCALE_DDL, config, &data)?;
@@ -220,29 +211,18 @@ fn mixed_phase(cfg: &ScaleConfig, dials: &Dials) -> Result<MixedOut> {
     let mut flushes = 0usize;
     let t0 = Instant::now();
     for i in 0..dials.mixed_ops {
-        match ops.next_op() {
-            ScaleOp::Read(v) => {
-                sim_ns += db.query(&scale_point_query(v))?.report.total_ns;
-            }
+        sim_ns += match ops.next_op() {
+            ScaleOp::Read(v) => db.query(&scale_point_query(v))?.report.total_ns,
             ScaleOp::Insert => {
                 let id = db.stats().rows(EVENT) as i64;
-                sim_ns += db.insert_rows(EVENT, vec![scale_row(cfg, id)])?.sim_ns;
+                db.insert_rows(EVENT, vec![scale_row(cfg, id)])?.sim_ns
             }
             ScaleOp::Update(row, val) => {
-                sim_ns += db
-                    .update_rows(
-                        EVENT,
-                        vec![ghostdb_types::RowId(row)],
-                        vec![(PAYLOAD, Value::Int(val))],
-                    )?
-                    .sim_ns;
+                let set = vec![(PAYLOAD, Value::Int(val))];
+                db.update_rows(EVENT, vec![RowId(row)], set)?.sim_ns
             }
-            ScaleOp::Delete(row) => {
-                sim_ns += db
-                    .delete_rows(EVENT, vec![ghostdb_types::RowId(row)])?
-                    .sim_ns;
-            }
-        }
+            ScaleOp::Delete(row) => db.delete_rows(EVENT, vec![RowId(row)])?.sim_ns,
+        };
         if (i + 1) % dials.flush_every == 0 {
             db.flush_deltas()?;
             flushes += 1;
@@ -255,107 +235,51 @@ fn mixed_phase(cfg: &ScaleConfig, dials: &Dials) -> Result<MixedOut> {
 
     let p50 = ghostdb_bench::latency::percentile(&mut ms, 0.5);
     let p99 = ghostdb_bench::latency::percentile(&mut ms, 0.99);
-    Ok(MixedOut {
-        ops: dials.mixed_ops,
-        flushes,
-        host_secs,
-        ops_per_sec: dials.mixed_ops as f64 / host_secs,
-        sim_ms: sim_ns as f64 / 1e6,
-        reader_queries: ms.len(),
-        p50_ms: p50,
-        p99_ms: p99,
-    })
+    report.result(
+        "mixed_churn",
+        &[
+            ("ops", dials.mixed_ops.into()),
+            ("flushes", flushes.into()),
+            ("host_secs", fixed(host_secs, 2)),
+            ("device_sim_ms", fixed(sim_ns as f64 / 1e6, 1)),
+            ("reader_queries", ms.len().into()),
+            ("reader_p50_ms", fixed(p50, 2)),
+        ],
+    );
+    let ops_per_sec = dials.mixed_ops as f64 / host_secs;
+    report
+        .gate_min(
+            "mixed_ops_per_sec",
+            fixed(ops_per_sec, 1),
+            dials.ops_gate_min,
+        )
+        .gate_max("reader_p99_ms", fixed(p99, 2), 500.0);
+    Ok(())
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let dials = if smoke { Dials::smoke() } else { Dials::full() };
+    let dials = if smoke { SMOKE } else { FULL };
     let cfg = ScaleConfig::scaled(dials.rows);
-    eprintln!(
-        "scale: {} rows, {} speedup queries, {} mixed ops{}",
-        dials.rows,
-        dials.speedup_queries,
-        dials.mixed_ops,
-        if smoke { " (smoke)" } else { "" }
+    let mut report = Report::new(
+        10,
+        "RAM-budgeted NAND page cache + million-row zipfian workload harness",
     );
-
-    let s = speedup_phase(&cfg, dials.speedup_queries).expect("speedup phase");
-    eprintln!(
-        "speedup:  cold {:.2} sim ms, warm {:.2} sim ms -> {:.2}x \
-         ({} hits / {} misses, {:.0}% hit rate)",
-        s.cold_sim_ns as f64 / 1e6,
-        s.warm_sim_ns as f64 / 1e6,
-        s.speedup,
-        s.hits,
-        s.misses,
-        s.hit_rate * 100.0,
+    report.field(
+        "workload",
+        format!(
+            "scale({}) bursty zipfian(theta 0.99, burst 8) hidden point queries; identical \
+             deterministic loads, cache-off vs cache-on ({} queries); read-heavy mixed stream \
+             ({} ops, flush every {}) under a pinned snapshot reader",
+            dials.rows, dials.speedup_queries, dials.mixed_ops, dials.flush_every
+        ),
     );
-
-    let m = mixed_phase(&cfg, &dials).expect("mixed phase");
-    eprintln!(
-        "mixed:    {} ops + {} flushes in {:.2}s host ({:.1} ops/s, {:.1} sim ms device), \
-         reader {} queries p50 {:.2} ms p99 {:.2} ms",
-        m.ops,
-        m.flushes,
-        m.host_secs,
-        m.ops_per_sec,
-        m.sim_ms,
-        m.reader_queries,
-        m.p50_ms,
-        m.p99_ms,
-    );
-
-    // Smoke keeps the same gate *shape* at friendlier levels: the tiny
-    // dataset still shows the cache working, without paper-scale churn.
-    let speedup_gate_min = if smoke { 1.5 } else { 3.0 };
-    let ops_gate_min = if smoke { 5.0 } else { 2.0 };
-    let p99_gate_max = 500.0;
-    let pass =
-        s.speedup >= speedup_gate_min && m.ops_per_sec >= ops_gate_min && m.p99_ms <= p99_gate_max;
-
-    let body = format!(
-        "{{\n  \"pr\": 10,\n  \"title\": \"RAM-budgeted NAND page cache + million-row zipfian \
-         workload harness\",\n  \
-         \"workload\": \"scale({}) bursty zipfian(theta 0.99, burst 8) hidden point queries; \
-         identical deterministic loads, cache-off vs cache-on ({} queries); read-heavy mixed \
-         stream ({} ops, flush every {}) under a pinned snapshot reader\",\n  \
-         \"results\": [\n    \
-         {{\"name\": \"cached_reads\", \"cold_sim_ms\": {:.2}, \"warm_sim_ms\": {:.2}, \
-         \"cache_hits\": {}, \"cache_misses\": {}, \"hit_rate\": {:.3}}},\n    \
-         {{\"name\": \"mixed_churn\", \"ops\": {}, \"flushes\": {}, \"host_secs\": {:.2}, \
-         \"device_sim_ms\": {:.1}, \"reader_queries\": {}, \"reader_p50_ms\": {:.2}}}\n  ],\n  \
-         \"acceptance\": {{\n    \"cached_read_speedup\": {:.2},\n    \
-         \"cached_read_speedup_gate_min\": {speedup_gate_min:.1},\n    \
-         \"mixed_ops_per_sec\": {:.1},\n    \
-         \"mixed_ops_per_sec_gate_min\": {ops_gate_min:.1},\n    \
-         \"reader_p99_ms\": {:.2},\n    \
-         \"reader_p99_ms_gate_max\": {p99_gate_max:.1},\n    \
-         \"pass\": {pass}\n  }}\n}}\n",
-        dials.rows,
-        dials.speedup_queries,
-        dials.mixed_ops,
-        dials.flush_every,
-        s.cold_sim_ns as f64 / 1e6,
-        s.warm_sim_ns as f64 / 1e6,
-        s.hits,
-        s.misses,
-        s.hit_rate,
-        m.ops,
-        m.flushes,
-        m.host_secs,
-        m.sim_ms,
-        m.reader_queries,
-        m.p50_ms,
-        s.speedup,
-        m.ops_per_sec,
-        m.p99_ms,
-    );
-    if dials.write_json {
-        std::fs::write("BENCH_PR10.json", &body).expect("write BENCH_PR10.json");
-        eprintln!("wrote BENCH_PR10.json");
-    } else {
+    speedup_phase(&cfg, &dials, &mut report).expect("speedup phase");
+    mixed_phase(&cfg, &dials, &mut report).expect("mixed phase");
+    if smoke {
         eprintln!("smoke run: BENCH_PR10.json left untouched");
+        report.check();
+    } else {
+        report.finish("BENCH_PR10.json");
     }
-    println!("{body}");
-    assert!(pass, "acceptance gates failed");
 }

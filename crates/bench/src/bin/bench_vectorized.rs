@@ -1,6 +1,6 @@
 //! Perf-trajectory runner: measures the scalar vs blocked device
 //! pipeline (merge-intersect and Bloom probe) on host wall time and
-//! writes `BENCH_PR1.json` at the repo root.
+//! writes `BENCH_PR1.json` to the current directory.
 //!
 //! Usage: `cargo run --release -p ghostdb-bench --bin bench_vectorized`
 //!
@@ -10,6 +10,7 @@
 
 use std::time::Instant;
 
+use ghostdb_bench::gates::{fixed, Report};
 use ghostdb_bench::vectorized::{
     bloom_blocked_filter, bloom_keys, bloom_scalar_filter, bloom_scope, merge_blocked,
     merge_scalar, overlapping_lists, probe_blocked, probe_scalar,
@@ -34,53 +35,48 @@ fn measure<F: FnMut() -> u64>(mut f: F) -> f64 {
     times[times.len() / 2]
 }
 
-struct Row {
-    name: &'static str,
-    n: usize,
-    scalar_ns: f64,
-    blocked_ns: f64,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.scalar_ns / self.blocked_ns
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"scalar_ns\": {:.0}, \"blocked_ns\": {:.0}, \
-             \"scalar_ns_per_item\": {:.2}, \"blocked_ns_per_item\": {:.2}, \"speedup\": {:.2}}}",
-            self.name,
-            self.n,
-            self.scalar_ns,
-            self.blocked_ns,
-            self.scalar_ns / self.n as f64,
-            self.blocked_ns / self.n as f64,
-            self.speedup(),
-        )
-    }
+/// Record one scalar-vs-blocked result row; returns the speedup.
+fn record(report: &mut Report, name: &str, n: usize, scalar_ns: f64, blocked_ns: f64) -> f64 {
+    let speedup = scalar_ns / blocked_ns;
+    report.result(
+        name,
+        &[
+            ("n", n.into()),
+            ("scalar_ns", fixed(scalar_ns, 0)),
+            ("blocked_ns", fixed(blocked_ns, 0)),
+            ("scalar_ns_per_item", fixed(scalar_ns / n as f64, 2)),
+            ("blocked_ns_per_item", fixed(blocked_ns / n as f64, 2)),
+            ("speedup", fixed(speedup, 2)),
+        ],
+    );
+    speedup
 }
 
 fn main() {
-    let mut rows: Vec<Row> = Vec::new();
+    let mut report = Report::new(
+        1,
+        "Vectorize the device pipeline: block-based id streams, galloping merge-intersect, \
+         and a cache-blocked Bloom filter",
+    );
+    report.field("block_cap", ghostdb_types::BLOCK_CAP).field(
+        "payload",
+        "run-structured posting lists (~97-id runs), 50/50 hit-miss bloom probes",
+    );
 
     for &n in &[10_000usize, 100_000, 1_000_000] {
         let (a, b) = overlapping_lists(n, 0.01);
         let scalar_ns = measure(|| merge_scalar(&a, &b).expect("merge"));
         let blocked_ns = measure(|| merge_blocked(&a, &b).expect("merge"));
-        let row = Row {
-            name: "merge_intersect_1pct_overlap",
+        let speedup = record(
+            &mut report,
+            "merge_intersect_1pct_overlap",
             n,
             scalar_ns,
             blocked_ns,
-        };
-        eprintln!(
-            "merge   n={n:>8}: scalar {:>10.0} ns, blocked {:>10.0} ns, {:>5.2}x",
-            row.scalar_ns,
-            row.blocked_ns,
-            row.speedup()
         );
-        rows.push(row);
+        if n == 100_000 {
+            report.gate_min("merge_speedup_100k", fixed(speedup, 2), 3.0);
+        }
     }
 
     let scope = bloom_scope();
@@ -94,45 +90,17 @@ fn main() {
         let mut hits = Vec::new();
         let scalar_ns = measure(|| probe_scalar(&scalar_f, &probes));
         let blocked_ns = measure(|| probe_blocked(&blocked_f, &probes, &mut hits));
-        let row = Row {
-            name: "bloom_probe_1pct_fpr",
+        let speedup = record(
+            &mut report,
+            "bloom_probe_1pct_fpr",
             n,
             scalar_ns,
             blocked_ns,
-        };
-        eprintln!(
-            "bloom   n={n:>8}: scalar {:>10.0} ns, blocked {:>10.0} ns, {:>5.2}x",
-            row.scalar_ns,
-            row.blocked_ns,
-            row.speedup()
         );
-        rows.push(row);
+        if n == 100_000 {
+            report.gate_min("bloom_speedup_100k", fixed(speedup, 2), 2.0);
+        }
     }
 
-    let merge_100k = rows
-        .iter()
-        .find(|r| r.name.starts_with("merge") && r.n == 100_000)
-        .expect("merge row");
-    let bloom_100k = rows
-        .iter()
-        .find(|r| r.name.starts_with("bloom") && r.n == 100_000)
-        .expect("bloom row");
-
-    let body = format!(
-        "{{\n  \"pr\": 1,\n  \"title\": \"Vectorize the device pipeline: block-based id streams, \
-         galloping merge-intersect, and a cache-blocked Bloom filter\",\n  \
-         \"block_cap\": {},\n  \"payload\": \"run-structured posting lists (~97-id runs), \
-         50/50 hit-miss bloom probes\",\n  \"results\": [\n{}\n  ],\n  \
-         \"acceptance\": {{\n    \"merge_speedup_100k\": {:.2},\n    \
-         \"merge_gate\": 3.0,\n    \"bloom_speedup_100k\": {:.2},\n    \
-         \"bloom_gate\": 2.0,\n    \"pass\": {}\n  }}\n}}\n",
-        ghostdb_types::BLOCK_CAP,
-        rows.iter().map(Row::json).collect::<Vec<_>>().join(",\n"),
-        merge_100k.speedup(),
-        bloom_100k.speedup(),
-        merge_100k.speedup() >= 3.0 && bloom_100k.speedup() >= 2.0,
-    );
-    std::fs::write("BENCH_PR1.json", &body).expect("write BENCH_PR1.json");
-    println!("{body}");
-    eprintln!("wrote BENCH_PR1.json");
+    report.finish("BENCH_PR1.json");
 }

@@ -9,9 +9,10 @@
 //! (the load takes a few seconds of host time). Results are printed as
 //! paper-style tables and written as CSV under `results/`.
 
-use ghostdb_bench::{bar, measure_plan, medical_fixture, medical_fixture_with};
+use ghostdb_bench::{bar, measure_plan, medical_fixture, medical_fixture_with, Measured};
 use ghostdb_bloom::BloomFilter;
 use ghostdb_catalog::TreeSchema;
+use ghostdb_core::GhostDb;
 use ghostdb_exec::{climbing_translate_count, grace_hash_join_count, join_index_count};
 use ghostdb_flash::{Nand, Volume};
 use ghostdb_index::IndexSet;
@@ -64,8 +65,26 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn csv_err(e: std::io::Error) -> ghostdb_types::GhostError {
-    ghostdb_types::GhostError::exec(e.to_string())
+/// P1 (pre-filtering), P2 (post-filtering) and the optimizer's best
+/// plan for `sql`, each measured.
+fn pre_post_best(db: &GhostDb, sql: &str) -> Result<[Measured; 3]> {
+    let spec = db.bind(sql)?;
+    let mut best = db.plans_for(&spec)?.remove(0).plan;
+    best.label = "best".into();
+    Ok([
+        measure_plan(db, sql, &db.plan_pre(&spec))?,
+        measure_plan(db, sql, &db.plan_post(&spec))?,
+        measure_plan(db, sql, &best)?,
+    ])
+}
+
+/// The faster of P1 and P2.
+fn winner(p1: &Measured, p2: &Measured) -> &'static str {
+    if p1.sim_ns <= p2.sim_ns {
+        "pre"
+    } else {
+        "post"
+    }
 }
 
 /// Figure 6: execution time of the ad-hoc plans P1 (pre-filtering) and
@@ -73,17 +92,7 @@ fn csv_err(e: std::io::Error) -> ghostdb_types::GhostError {
 fn exp_f6(scale: usize) -> Result<()> {
     println!("Figure 6 — execution time of plans P1/P2, {scale} prescriptions");
     let f = medical_fixture(scale)?;
-    let sql = paper_query(f.mid_date());
-    let spec = f.db.bind(&sql)?;
-    let plans = [f.db.plan_pre(&spec), f.db.plan_post(&spec), {
-        let mut p = f.db.plans_for(&spec)?.remove(0).plan;
-        p.label = "best".into();
-        p
-    }];
-    let mut measured = Vec::new();
-    for p in &plans {
-        measured.push(measure_plan(&f.db, &sql, p)?);
-    }
+    let measured = pre_post_best(&f.db, &paper_query(f.mid_date()))?;
     let max = measured.iter().map(|m| m.sim_ns).max().unwrap_or(1) as f64;
     println!("\n  plan  time         ram      rows   chart (execution time)");
     let mut csv = Vec::new();
@@ -101,7 +110,7 @@ fn exp_f6(scale: usize) -> Result<()> {
             m.label, m.sim_ns, m.ram_peak, m.rows
         ));
     }
-    ghostdb_bench::write_csv("f6_plans", "plan,sim_ns,ram_peak,rows", &csv).map_err(csv_err)?;
+    ghostdb_bench::write_csv("f6_plans", "plan,sim_ns,ram_peak,rows", &csv)?;
     println!("\n  shape check: both plans return identical rows; the spread between");
     println!("  P1 and P2 at ~50% visible selectivity mirrors the demo's bar chart.");
     Ok(())
@@ -117,23 +126,14 @@ fn exp_d2a(scale: usize) -> Result<()> {
     let mut csv = Vec::new();
     for &frac in &fracs {
         let sql = selectivity_query(f.cfg.date_start, f.cfg.date_span_days, frac);
-        let spec = f.db.bind(&sql)?;
-        let p1 = measure_plan(&f.db, &sql, &f.db.plan_pre(&spec))?;
-        let p2 = measure_plan(&f.db, &sql, &f.db.plan_post(&spec))?;
-        let best_plan = f.db.plans_for(&spec)?.remove(0).plan;
-        let best = measure_plan(&f.db, &sql, &best_plan)?;
-        let winner = if p1.sim_ns <= p2.sim_ns {
-            "pre"
-        } else {
-            "post"
-        };
+        let [p1, p2, best] = pre_post_best(&f.db, &sql)?;
         println!(
             "  {:<9} {:<13} {:<13} {:<13} {:<7} {:<8} {:<8}",
             frac,
             format_ns(p1.sim_ns),
             format_ns(p2.sim_ns),
             format_ns(best.sim_ns),
-            winner,
+            winner(&p1, &p2),
             p1.ram_peak,
             p2.ram_peak,
         );
@@ -146,8 +146,7 @@ fn exp_d2a(scale: usize) -> Result<()> {
         "d2a_filtering_sweep",
         "visible_selectivity,p1_ns,p2_ns,best_ns,p1_ram,p2_ram",
         &csv,
-    )
-    .map_err(csv_err)?;
+    )?;
     println!("\n  shape check: pre-filtering wins at low visible selectivity,");
     println!("  post-filtering wins as the visible predicate becomes unselective.");
     Ok(())
@@ -183,8 +182,7 @@ fn exp_d2b(scale: usize) -> Result<()> {
         "d2b_operator_stats",
         "operator,detail,tuples_in,tuples_out,ram_peak,sim_ns",
         &csv,
-    )
-    .map_err(csv_err)?;
+    )?;
     Ok(())
 }
 
@@ -246,8 +244,7 @@ fn exp_d1(scale: usize) -> Result<()> {
         "d1_security_trace",
         "query,spy_frames,spy_bytes,display_bytes,hidden_leaks",
         &csv,
-    )
-    .map_err(csv_err)?;
+    )?;
     Ok(())
 }
 
@@ -268,24 +265,18 @@ fn exp_s3(scale: usize) -> Result<()> {
             let spec = f.db.bind(&sql)?;
             let p1 = measure_plan(&f.db, &sql, &f.db.plan_pre(&spec))?;
             let p2 = measure_plan(&f.db, &sql, &f.db.plan_post(&spec))?;
-            let winner = if p1.sim_ns <= p2.sim_ns {
-                "pre"
-            } else {
-                "post"
-            };
             println!(
                 "  {:<6} {:<11} {:<14} {:<13} {}",
                 ratio,
                 link_name,
                 format_ns(p1.sim_ns),
                 format_ns(p2.sim_ns),
-                winner
+                winner(&p1, &p2)
             );
             csv.push(format!("{ratio},{link_name},{},{}", p1.sim_ns, p2.sim_ns));
         }
     }
-    ghostdb_bench::write_csv("s3_hardware_sweep", "ratio,link,p1_ns,p2_ns", &csv)
-        .map_err(csv_err)?;
+    ghostdb_bench::write_csv("s3_hardware_sweep", "ratio,link,p1_ns,p2_ns", &csv)?;
     println!("\n  shape check: higher write cost penalizes spill-heavy pre-filtering;");
     println!("  a faster link helps post-filtering (bulk visible transfer) most.");
     Ok(())
@@ -323,48 +314,34 @@ fn exp_b1(scale: usize) -> Result<()> {
     );
 
     let fk_col = schema.resolve_column(pre, "VisID")?.column;
-    let climb = climbing_translate_count(
-        &volume, &ram, &clock, &device, &indexes, visit, &matching, pre,
-    )?;
-    let jidx = join_index_count(
-        &volume, &ram, &clock, &device, &indexes, &tree, visit, &matching, pre,
-    )?;
+    // Translate `ids` of table `from` up to prescriptions.
+    let climb = |from, ids: &[RowId]| {
+        climbing_translate_count(&volume, &ram, &clock, &device, &indexes, from, ids, pre)
+    };
+    let join = |from, ids: &[RowId]| {
+        join_index_count(
+            &volume, &ram, &clock, &device, &indexes, &tree, from, ids, pre,
+        )
+    };
+    let climb1 = climb(visit, &matching)?;
+    let jidx = join(visit, &matching)?;
     let grace = grace_hash_join_count(
         &volume, &ram, &clock, &device, &hidden, pre, fk_col, &matching,
     )?;
-    assert_eq!(climb.result_count, jidx.result_count);
-    assert_eq!(climb.result_count, grace.result_count);
+    assert_eq!(climb1.result_count, jidx.result_count);
+    assert_eq!(climb1.result_count, grace.result_count);
 
     // Deep task: doctors -> prescriptions (2 hops vs 1 climb).
     let doc_matching: Vec<RowId> = (0..data.tables[doctor.index()].rows() / 4)
         .map(|i| RowId(i as u32))
         .collect();
-    let climb2 = climbing_translate_count(
-        &volume,
-        &ram,
-        &clock,
-        &device,
-        &indexes,
-        doctor,
-        &doc_matching,
-        pre,
-    )?;
-    let jidx2 = join_index_count(
-        &volume,
-        &ram,
-        &clock,
-        &device,
-        &indexes,
-        &tree,
-        doctor,
-        &doc_matching,
-        pre,
-    )?;
+    let climb2 = climb(doctor, &doc_matching)?;
+    let jidx2 = join(doctor, &doc_matching)?;
     assert_eq!(climb2.result_count, jidx2.result_count);
 
     println!("  method            matches   time          flash rd  flash wr  ram");
     let rows = [
-        ("climbing (1 hop)", &climb),
+        ("climbing (1 hop)", &climb1),
         ("join-index chain", &jidx),
         ("grace hash join", &grace),
         ("climbing (deep)", &climb2),
@@ -390,8 +367,7 @@ fn exp_b1(scale: usize) -> Result<()> {
         "b1_baselines",
         "method,matches,sim_ns,flash_reads,flash_programs,ram_peak",
         &csv,
-    )
-    .map_err(csv_err)?;
+    )?;
     println!("\n  shape check: grace hash pays the flash write storm (programs >> 0);");
     println!("  the climbing index needs no writes and the fewest reads.");
     Ok(())
@@ -436,8 +412,7 @@ fn exp_b2() -> Result<()> {
         "b2_bloom",
         "keys,budget_bytes,bits_per_key,k,estimated_fpr,observed_fpr",
         &csv,
-    )
-    .map_err(csv_err)?;
+    )?;
     println!("\n  shape check: a few KB keep fpr low up to ~10k keys (the demo's");
     println!("  delegated id lists); million-key sets saturate small filters —");
     println!("  which is exactly why the exact temp verification exists.");
@@ -457,11 +432,7 @@ fn exp_scale(max_scale: usize) -> Result<()> {
     for &n in &scales {
         let f = medical_fixture(n)?;
         let sql = paper_query(f.mid_date());
-        let spec = f.db.bind(&sql)?;
-        let p1 = measure_plan(&f.db, &sql, &f.db.plan_pre(&spec))?;
-        let p2 = measure_plan(&f.db, &sql, &f.db.plan_post(&spec))?;
-        let best_plan = f.db.plans_for(&spec)?.remove(0).plan;
-        let best = measure_plan(&f.db, &sql, &best_plan)?;
+        let [p1, p2, best] = pre_post_best(&f.db, &sql)?;
         println!(
             "  {:<14} {:<13} {:<13} {:<13} {}",
             n,
@@ -475,8 +446,7 @@ fn exp_scale(max_scale: usize) -> Result<()> {
             p1.sim_ns, p2.sim_ns, best.sim_ns, best.rows
         ));
     }
-    ghostdb_bench::write_csv("scale", "prescriptions,p1_ns,p2_ns,best_ns,rows", &csv)
-        .map_err(csv_err)?;
+    ghostdb_bench::write_csv("scale", "prescriptions,p1_ns,p2_ns,best_ns,rows", &csv)?;
     println!("\n  shape check: time grows with matching volume, not raw table size —");
     println!("  selections never scan the root table.");
     Ok(())
@@ -518,8 +488,7 @@ fn exp_game(scale: usize) -> Result<()> {
         "game",
         "query,plans,best_ns,worst_ns,optimizer_ns,spread,optimizer_good",
         &csv,
-    )
-    .map_err(csv_err)?;
+    )?;
     println!("\n  shape check: order-of-magnitude spreads justify the game — picking");
     println!("  plans by intuition is genuinely hard on this hardware.");
     Ok(())

@@ -1,5 +1,6 @@
-//! Shared harness for the figure-regeneration binary and the Criterion
-//! benches.
+//! Shared harness for the figure-regeneration binary, the
+//! perf-trajectory runners (which write their `BENCH_PR*.json` through
+//! [`gates::Report`]) and the Criterion benches.
 //!
 //! Every experiment of the evaluation is driven from here: fixtures are
 //! deterministic (seeded generators), measurements report **simulated
@@ -11,7 +12,6 @@
 
 pub mod gates;
 
-use std::io::Write as _;
 use std::path::Path;
 
 use ghostdb_core::GhostDb;
@@ -40,17 +40,6 @@ pub fn medical_fixture_with(prescriptions: usize, config: DeviceConfig) -> Resul
     Ok(Fixture { db, cfg })
 }
 
-/// The dataset alongside the db (baseline experiments need raw ids).
-pub fn medical_fixture_with_data(
-    prescriptions: usize,
-    config: DeviceConfig,
-) -> Result<(Fixture, ghostdb_storage::Dataset)> {
-    let cfg = MedicalConfig::scaled(prescriptions);
-    let data = generate_medical(&cfg)?;
-    let db = GhostDb::create(MEDICAL_DDL, config, &data)?;
-    Ok((Fixture { db, cfg }, data))
-}
-
 impl Fixture {
     /// Mid-range date cutoff (≈50% visible selectivity), as used by the
     /// Figure 6 comparison.
@@ -70,12 +59,6 @@ pub struct Measured {
     pub ram_peak: usize,
     /// Result rows.
     pub rows: u64,
-    /// Spy-visible bytes that crossed toward the device.
-    pub bus_to_device: u64,
-    /// Flash page reads.
-    pub flash_reads: u64,
-    /// Flash page programs.
-    pub flash_programs: u64,
 }
 
 /// Execute `sql` under `plan` and collect the headline numbers.
@@ -86,32 +69,40 @@ pub fn measure_plan(db: &GhostDb, sql: &str, plan: &ghostdb_exec::Plan) -> Resul
         sim_ns: out.report.total_ns,
         ram_peak: out.report.ram_peak,
         rows: out.report.result_rows,
-        bus_to_device: out.report.bus_bytes_to_device,
-        flash_reads: out.report.flash.page_reads,
-        flash_programs: out.report.flash.page_programs,
     })
 }
 
-/// Append rows to `results/<name>.csv` (header written once).
-pub fn write_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<()> {
-    let dir = Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{name}.csv"));
-    let mut f = std::fs::File::create(&path)?;
-    writeln!(f, "{header}")?;
-    for r in rows {
-        writeln!(f, "{r}")?;
-    }
+/// Write `results/<name>.csv`: the header line, then one line per row.
+pub fn write_csv(name: &str, header: &str, rows: &[String]) -> Result<()> {
+    let path = Path::new("results").join(format!("{name}.csv"));
+    let body = std::iter::once(header).chain(rows.iter().map(String::as_str));
+    std::fs::create_dir_all("results")
+        .and_then(|()| std::fs::write(&path, body.collect::<Vec<_>>().join("\n") + "\n"))
+        .map_err(|e| ghostdb_types::GhostError::exec(format!("{}: {e}", path.display())))?;
     eprintln!("wrote {}", path.display());
     Ok(())
 }
 
 pub mod latency {
-    //! Latency helpers shared by the `bench_*` runners (previously
-    //! copy-pasted per binary).
+    //! Timing helpers shared by the `bench_*` runners.
+
+    use std::time::Instant;
 
     use ghostdb_core::GhostDb;
     use ghostdb_types::Result;
+
+    /// Run `f` `runs` times; returns the fastest call's host seconds and
+    /// the last call's result.
+    pub fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+        let mut best = f64::MAX;
+        let mut last = None;
+        for _ in 0..runs.max(1) {
+            let t0 = Instant::now();
+            last = Some(f());
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        (best, last.expect("at least one run"))
+    }
 
     /// Minimum simulated latency of `sql` over `runs` executions — the
     /// stable "how fast can this query go right now" probe the insert,
@@ -145,6 +136,83 @@ pub mod latency {
             assert_eq!(percentile(&mut s, 0.99), 3.0);
             assert_eq!(percentile(&mut s, 1.0), 4.0);
         }
+    }
+}
+
+pub mod purchases {
+    //! The Customer(64) ← Purchase fixture shared by the write-path,
+    //! mutation, durability and analytics runners: a two-table tree
+    //! with hidden CHAR + INTEGER columns and a hidden foreign key.
+
+    use ghostdb_core::GhostDb;
+    use ghostdb_storage::Dataset;
+    use ghostdb_types::{Result, TableId, Value};
+
+    /// The fixture's schema.
+    pub const DDL: &str = "\
+CREATE TABLE Customer (
+  CustID INTEGER PRIMARY KEY,
+  Region CHAR(12));
+CREATE TABLE Purchase (
+  OrdID INTEGER PRIMARY KEY,
+  Day INTEGER,
+  Item CHAR(16) HIDDEN,
+  Amount INTEGER HIDDEN,
+  CustID REFERENCES Customer(CustID) HIDDEN);";
+
+    /// Customers every purchase references round-robin.
+    pub const CUSTOMERS: i64 = 64;
+    /// The `Purchase` table.
+    pub const PURCHASE: TableId = TableId(1);
+    /// Rows per post-load insert batch.
+    pub const BATCH: usize = 100;
+    /// Hidden bytes one purchase holds in the store (4 B item code + 8 B
+    /// amount key + 8 B custid key).
+    pub const HIDDEN_ROW_BYTES: u64 = 20;
+    /// Probe mixing a base-dictionary item with the hidden join.
+    pub const PROBE: &str = "SELECT Pur.OrdID, Cust.Region FROM Purchase Pur, Customer Cust \
+                             WHERE Pur.Item = 'item-007' AND Pur.CustID = Cust.CustID";
+
+    /// Purchase `i`; its item string cycles through `item_pool` values.
+    /// Amount cycles 10..1000 and Day cycles the year, so both range
+    /// targets have smooth equi-depth histograms.
+    pub fn purchase(i: i64, item_pool: i64) -> Vec<Value> {
+        vec![
+            Value::Int(i),
+            Value::Int(i % 365),
+            Value::Text(format!("item-{:03}", i % item_pool)),
+            Value::Int(10 + i % 990),
+            Value::Int(i % CUSTOMERS),
+        ]
+    }
+
+    /// The base load: every customer plus purchases `0..rows` drawn
+    /// from a 40-item pool.
+    pub fn dataset(rows: i64) -> Result<Dataset> {
+        let stmts = ghostdb_sql::parse_statements(DDL)?;
+        let mut data = Dataset::empty(&ghostdb_sql::bind_schema(&stmts)?);
+        let regions = ["north", "south", "east", "west"];
+        for i in 0..CUSTOMERS {
+            data.push_row(
+                TableId(0),
+                vec![Value::Int(i), Value::Text(regions[(i % 4) as usize].into())],
+            )?;
+        }
+        for i in 0..rows {
+            data.push_row(PURCHASE, purchase(i, 40))?;
+        }
+        Ok(data)
+    }
+
+    /// Insert purchases `first..first + rows` after the load, in
+    /// batches of [`BATCH`], from a 50-item pool: ~20% of them carry
+    /// strings the base dictionary has never seen.
+    pub fn append(db: &mut GhostDb, first: i64, rows: i64) -> Result<()> {
+        for start in (first..first + rows).step_by(BATCH) {
+            let batch = (start..start + BATCH as i64).map(|j| purchase(j, 50));
+            db.insert_rows(PURCHASE, batch.collect())?;
+        }
+        Ok(())
     }
 }
 

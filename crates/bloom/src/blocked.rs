@@ -28,11 +28,17 @@ pub const BLOOM_BLOCK_BYTES: usize = 64;
 pub const BLOOM_BLOCK_BITS: usize = BLOOM_BLOCK_BYTES * 8;
 const WORDS_PER_BLOCK: usize = BLOOM_BLOCK_BYTES / 8;
 
+/// One filter block, aligned so that it fills exactly one cache line
+/// (a `Vec<u64>` is only 16-byte aligned, so most of its 64-byte blocks
+/// would straddle two lines and a probe would touch both).
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(64))]
+struct Block([u64; WORDS_PER_BLOCK]);
+
 /// A blocked Bloom filter over 64-bit keys, RAM-charged to the device.
 #[derive(Debug)]
 pub struct BlockedBloomFilter {
-    words: Vec<u64>,
-    blocks: usize,
+    blocks: Vec<Block>,
     k: u32,
     inserted: u64,
     _ram: ScopedGuard,
@@ -51,8 +57,7 @@ impl BlockedBloomFilter {
         let blocks = m_bits.div_ceil(BLOOM_BLOCK_BITS).max(1);
         let guard = scope.alloc(blocks * BLOOM_BLOCK_BYTES)?;
         Ok(BlockedBloomFilter {
-            words: vec![0; blocks * WORDS_PER_BLOCK],
-            blocks,
+            blocks: vec![Block::default(); blocks],
             k: k.clamp(1, WORDS_PER_BLOCK as u32),
             inserted: 0,
             _ram: guard,
@@ -76,7 +81,7 @@ impl BlockedBloomFilter {
         Self::with_params(scope, m, k)
     }
 
-    /// `(first word of the key's block, bit-position hash)`: bit `i`
+    /// `(the key's block, bit-position hash)`: bit `i`
     /// lives in word `(start + i) & 7` — `start` from the hash's top
     /// bits, so **every** word of the block carries load even at small
     /// `k` — at shift `(h2 >> 6i) & 63`. The whole probe is shifts and
@@ -85,20 +90,18 @@ impl BlockedBloomFilter {
     fn locate(&self, key: u64) -> (usize, u64) {
         let h1 = mix64(key);
         // Multiply-shift block pick from the high-quality top bits.
-        let block = ((h1 as u128 * self.blocks as u128) >> 64) as usize;
-        (block * WORDS_PER_BLOCK, mix64(key ^ 0xA5A5_A5A5_5A5A_5A5A))
+        let block = ((h1 as u128 * self.blocks.len() as u128) >> 64) as usize;
+        (block, mix64(key ^ 0xA5A5_A5A5_5A5A_5A5A))
     }
 
     /// Insert a key.
     #[inline]
     pub fn insert(&mut self, key: u64) {
-        let (base, h2) = self.locate(key);
+        let (b, h2) = self.locate(key);
         let start = (h2 >> 60) as usize;
-        // Fixed-size array ref: the compiler sees `(start+i) % 8 < 8`
-        // and drops every bounds check from the hot loop.
-        let block: &mut [u64; WORDS_PER_BLOCK] = (&mut self.words[base..base + WORDS_PER_BLOCK])
-            .try_into()
-            .expect("one block");
+        // Fixed-size array: the compiler sees `(start+i) % 8 < 8` and
+        // drops every bounds check from the hot loop.
+        let block = &mut self.blocks[b].0;
         for i in 0..self.k as usize {
             block[(start + i) % WORDS_PER_BLOCK] |= 1u64 << ((h2 >> (6 * i)) & 63);
         }
@@ -109,11 +112,9 @@ impl BlockedBloomFilter {
     /// *probably present*.
     #[inline]
     pub fn contains(&self, key: u64) -> bool {
-        let (base, h2) = self.locate(key);
+        let (b, h2) = self.locate(key);
         let start = (h2 >> 60) as usize;
-        let block: &[u64; WORDS_PER_BLOCK] = (&self.words[base..base + WORDS_PER_BLOCK])
-            .try_into()
-            .expect("one block");
+        let block = &self.blocks[b].0;
         // Branchless: fold the k bit tests, then one predictable check.
         let mut hit = 1u64;
         for i in 0..self.k as usize {
@@ -144,12 +145,12 @@ impl BlockedBloomFilter {
 
     /// Size of the bit array in bits.
     pub fn m_bits(&self) -> usize {
-        self.blocks * BLOOM_BLOCK_BITS
+        self.blocks.len() * BLOOM_BLOCK_BITS
     }
 
     /// Heap bytes held by the bit array.
     pub fn bytes(&self) -> usize {
-        self.blocks * BLOOM_BLOCK_BYTES
+        self.blocks.len() * BLOOM_BLOCK_BYTES
     }
 
     /// Keys inserted so far.
@@ -159,7 +160,8 @@ impl BlockedBloomFilter {
 
     /// Fraction of bits set.
     pub fn fill_ratio(&self) -> f64 {
-        let set: u64 = self.words.iter().map(|w| w.count_ones() as u64).sum();
+        let words = self.blocks.iter().flat_map(|b| b.0);
+        let set: u64 = words.map(|w| w.count_ones() as u64).sum();
         set as f64 / self.m_bits() as f64
     }
 
@@ -172,7 +174,7 @@ impl BlockedBloomFilter {
 
     /// Merge another filter with identical geometry.
     pub fn union(&mut self, other: &BlockedBloomFilter) -> Result<()> {
-        if self.blocks != other.blocks || self.k != other.k {
+        if self.blocks.len() != other.blocks.len() || self.k != other.k {
             return Err(GhostError::exec(format!(
                 "bloom union geometry mismatch: {}x{} vs {}x{}",
                 self.m_bits(),
@@ -181,8 +183,10 @@ impl BlockedBloomFilter {
                 other.k
             )));
         }
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= *b;
+        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
+            for (x, y) in a.0.iter_mut().zip(b.0) {
+                *x |= y;
+            }
         }
         self.inserted += other.inserted;
         Ok(())

@@ -25,10 +25,8 @@ use ghostdb_ram::{RamScope, ScopedGuard};
 use ghostdb_types::{GhostError, Result};
 
 mod blocked;
-mod counting;
 
 pub use blocked::{BlockedBloomFilter, BLOOM_BLOCK_BITS, BLOOM_BLOCK_BYTES};
-pub use counting::CountingBloom;
 
 /// SplitMix64 finalizer — cheap, well-distributed 64-bit mixing, the kind
 /// of arithmetic a smartcard CPU can do quickly.

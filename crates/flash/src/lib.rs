@@ -72,5 +72,6 @@ pub use nand::{
 };
 pub use volume::{
     GcStats, PageCacheStats, ReliabilityStats, ScrubReport, Segment, SegmentManifest,
-    SegmentReader, SegmentWriter, Volume, VolumeMetrics, VolumeUsage,
+    SegmentReader, SegmentWriter, Volume, VolumeMetrics, VolumeUsage, GC_MAX_VICTIMS_PER_PASS,
+    SCRUB_THRESHOLD,
 };

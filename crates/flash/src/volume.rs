@@ -93,6 +93,15 @@ struct Lpn(u32);
 /// Sentinel for "no mapping" in both directions of the translation table.
 const UNMAPPED: u32 = u32::MAX;
 
+/// Upper bound on victim blocks migrated per GC pass, bounding the
+/// latency a single allocation can absorb.
+pub const GC_MAX_VICTIMS_PER_PASS: usize = 8;
+
+/// Scrub trigger: once a physical page has needed this many corrected
+/// reads since it was programmed, the GC's scrub pass rewrites it to a
+/// fresh location before it rots past the single-bit correction budget.
+pub const SCRUB_THRESHOLD: u32 = 2;
+
 /// An immutable sequence of bytes stored on flash.
 ///
 /// Cloning is cheap (the page list is shared); segments are freed
@@ -1589,8 +1598,7 @@ impl Volume {
         }
     }
 
-    /// Run one garbage-collection pass: up to
-    /// [`gc_max_victims_per_pass`](ghostdb_types::FlashConfig::gc_max_victims_per_pass)
+    /// Run one garbage-collection pass: up to [`GC_MAX_VICTIMS_PER_PASS`]
     /// victim blocks are compacted and erased. The one-page copy buffer
     /// is charged to `scope`. Returns what this pass reclaimed (all
     /// zeros when nothing was fragmented).
@@ -1603,10 +1611,9 @@ impl Volume {
         let pause_start = self.nand.clock().now();
         let _ram = scope.alloc(self.raw_page_size())?;
         let mut buf = vec![0u8; self.raw_page_size()];
-        let max_victims = self.nand.config().gc_max_victims_per_pass.max(1);
         let mut st = self.state.lock().expect("volume poisoned");
         let mut outcome = Ok(());
-        for _ in 0..max_victims {
+        for _ in 0..GC_MAX_VICTIMS_PER_PASS {
             let wear = self.nand.wear_snapshot();
             let Some(victim) = self.pick_victim(&st, &wear) else {
                 break;
@@ -1640,31 +1647,29 @@ impl Volume {
     /// True if any mapped page's corrected-read count has crossed the
     /// scrub threshold (checked before charging the copy buffer).
     fn has_scrub_work(&self) -> bool {
-        let threshold = self.nand.config().scrub_threshold;
-        if threshold == 0 || !self.nand.config().ecc_enabled {
+        if !self.nand.config().ecc_enabled {
             return false;
         }
         let st = self.state.lock().expect("volume poisoned");
         st.corrected_reads
             .iter()
             .enumerate()
-            .any(|(p, &c)| c >= threshold && st.p2l[p] != UNMAPPED)
+            .any(|(p, &c)| c >= SCRUB_THRESHOLD && st.p2l[p] != UNMAPPED)
     }
 
     /// Rewrite every unsealed mapped page whose corrected-read count has
-    /// crossed [`scrub_threshold`](ghostdb_types::FlashConfig::scrub_threshold)
-    /// to a fresh location before it rots past the single-bit budget.
+    /// crossed [`SCRUB_THRESHOLD`] to a fresh location before it rots
+    /// past the single-bit budget.
     /// Sealed pages cannot move (the image pins them) and are skipped
     /// until the next seal. Caller holds the state lock; `buf` is one
     /// raw page.
     fn scrub_locked(&self, st: &mut AllocState, buf: &mut [u8]) -> Result<ScrubReport> {
         let mut report = ScrubReport::default();
-        let threshold = self.nand.config().scrub_threshold;
-        if threshold == 0 || !self.nand.config().ecc_enabled {
+        if !self.nand.config().ecc_enabled {
             return Ok(report);
         }
         for idx in 0..st.corrected_reads.len() {
-            if st.corrected_reads[idx] < threshold {
+            if st.corrected_reads[idx] < SCRUB_THRESHOLD {
                 continue;
             }
             let lpn = st.p2l[idx];
@@ -2559,10 +2564,10 @@ mod tests {
         w.write(&data).unwrap();
         let seg = w.finish().unwrap();
         let phys = vol.phys_of(seg.pages[0]).unwrap();
-        // Two corrected reads (threshold = 2 in default_2007): the flip
-        // stays in the stored page, so each fault re-corrects it.
+        // SCRUB_THRESHOLD corrected reads: the flip stays in the stored
+        // page, so each fault re-corrects it.
         vol.nand().corrupt_page(phys, 5).unwrap();
-        for _ in 0..2 {
+        for _ in 0..SCRUB_THRESHOLD {
             let mut r = vol.reader(&scope, &seg).unwrap();
             let mut sink = vec![0u8; ps];
             r.read_exact(&mut sink).unwrap();

@@ -38,9 +38,6 @@ pub struct FlashConfig {
     /// volume runs a GC pass before allocating. `0` disables the
     /// allocation-time trigger (explicit `Volume::gc` calls still work).
     pub gc_low_watermark_blocks: usize,
-    /// Upper bound on victim blocks migrated per GC pass, bounding the
-    /// latency a single allocation can absorb.
-    pub gc_max_victims_per_pass: usize,
     /// Erase blocks reserved per **metadata slot** at the head of the
     /// part. The durability layer keeps two slots (written alternately,
     /// so a power cut during one seal leaves the other intact); each
@@ -62,11 +59,6 @@ pub struct FlashConfig {
     /// Cost of computing/checking the codeword, ns per byte covered
     /// (models a small hardware ECC engine on the secure chip).
     pub ecc_byte_ns: u64,
-    /// Scrub trigger: once a physical page has needed this many
-    /// corrected reads since it was programmed, the GC's scrub pass
-    /// rewrites it to a fresh location before it rots past the
-    /// single-bit correction budget. `0` disables scrubbing.
-    pub scrub_threshold: u32,
     /// Grown-bad-block budget: how many blocks may be retired to the
     /// bad-block table before the volume reports the part worn out.
     pub spare_blocks: usize,
@@ -98,12 +90,10 @@ impl FlashConfig {
             program_byte_ns: 30,
             erase_block_ns: 2_000_000,
             gc_low_watermark_blocks: 16,
-            gc_max_victims_per_pass: 8,
             meta_slot_blocks: 8,
             wal_blocks: 8,
             ecc_enabled: true,
             ecc_byte_ns: 2,
-            scrub_threshold: 2,
             spare_blocks: 64,
             // 16 raw pages ≈ 32 KiB of mirror: half the 64 KB device
             // RAM. A paper-scale point probe touches ~11 pages (index
