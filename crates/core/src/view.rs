@@ -191,7 +191,6 @@ impl ReadView {
     pub(crate) fn exec_context(&self) -> ExecContext<'_> {
         ExecContext {
             schema: &self.schema,
-            tree: &self.tree,
             config: &self.config,
             clock: self.clock.clone(),
             volume: &self.volume,

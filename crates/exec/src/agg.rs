@@ -237,6 +237,17 @@ impl Epilogue {
         self.ns += ns;
     }
 
+    /// Rows a bare `LIMIT` (no `ORDER BY`, no fold) still wants before
+    /// it saturates; `None` when every qualifying row matters.
+    pub fn wants(&self) -> Option<u64> {
+        match (&self.state, self.limit) {
+            (State::Pass { rows }, Some(k)) if self.order_by.is_empty() => {
+                Some(k.saturating_sub(rows.len() as u64))
+            }
+            _ => None,
+        }
+    }
+
     /// Consume one projected row. Returns `false` once the epilogue is
     /// saturated — a plain `LIMIT k` without `ORDER BY` needs no more
     /// input after `k` rows, and the executor may stop pulling.

@@ -85,8 +85,9 @@ fn pred_str(schema: &Schema, spec: &QuerySpec, i: usize) -> String {
 
 /// Build the operator tree for `plan`: `project` at the root, post
 /// steps as a chain beneath it (last applied nearest the root), then
-/// the SKT access fed by the merged sources. Pass `cards` to annotate
-/// estimated cardinalities; `None` leaves the shape bare.
+/// the SKT access (or `anchor-rows`) fed by the merged sources. Pass
+/// `cards` to annotate estimated cardinalities; `None` leaves the shape
+/// bare.
 pub fn plan_nodes(
     schema: &Schema,
     spec: &QuerySpec,
@@ -146,10 +147,10 @@ pub fn plan_nodes(
         merge
     };
 
-    // SKT access (leaf anchors stream their own rows instead).
-    let has_children = schema.table(spec.anchor).foreign_keys().next().is_some();
+    // SKT access — or the anchor ids alone when no later stage reads
+    // another table (`Plan::skt_tables`, the executor's own test).
     let mut node = PlanNode::new(
-        if has_children {
+        if !plan.skt_tables(spec).is_empty() {
             "access-skt"
         } else {
             "anchor-rows"

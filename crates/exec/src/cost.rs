@@ -45,7 +45,6 @@ pub struct PlanCardinalities {
 #[derive(Debug, Clone)]
 pub struct CostModel<'a> {
     schema: &'a Schema,
-    #[allow(dead_code)]
     tree: &'a TreeSchema,
     stats: &'a SchemaStats,
     config: &'a DeviceConfig,
@@ -89,6 +88,53 @@ impl<'a> CostModel<'a> {
     /// One random read of `bytes` within a page.
     fn rand_read(&self, bytes: usize) -> f64 {
         self.config.flash.read_cost_ns(bytes) as f64
+    }
+
+    /// Page reads of `n` lookups into a structure of `pages` pages, made
+    /// in ascending order `per_pass` lookups at a time: each pass reads
+    /// the distinct pages its lookups land on (uniformly spread), the way
+    /// the executor's sorted-probe and member-ordered reads do.
+    fn ordered_reads(&self, n: f64, pages: f64, per_pass: f64) -> f64 {
+        if n <= 0.0 || pages <= 0.0 {
+            return 0.0;
+        }
+        let pages = pages.ceil();
+        let passes = (n / per_pass.max(1.0)).ceil();
+        let touched = pages * (1.0 - (-(n / passes) / pages).exp());
+        passes * touched * self.rand_read(self.config.flash.page_size)
+    }
+
+    /// Rows per executor batch for `plan`: the executor gives a batch
+    /// three quarters of the RAM left once the page cache and the
+    /// query's other buffers are charged (modelled as half of what the
+    /// cache leaves), and a row costs its carried keys, a sort slot and
+    /// its buffered member cells.
+    fn batch_rows(&self, spec: &QuerySpec, plan: &Plan) -> f64 {
+        let carried = 1 + plan.skt_tables(spec).len();
+        let member_bytes: usize = spec
+            .projections
+            .iter()
+            .map(|c| {
+                let def = self.schema.column_def(*c);
+                match (def.role, def.ty) {
+                    (ghostdb_catalog::ColumnRole::PrimaryKey, _) => 0,
+                    _ if !def.visibility.is_hidden() => self.value_width(*c) as usize,
+                    // The anchor's hidden columns are read at emit.
+                    _ if c.table == spec.anchor => 0,
+                    (_, DataType::Char(_)) => 4,
+                    _ => 8,
+                }
+            })
+            .sum();
+        let bloom = plan
+            .post
+            .iter()
+            .any(|s| matches!(s, PostStep::BloomVisible { .. }));
+        let sort = if bloom || member_bytes > 0 { 8 } else { 0 };
+        let row = (carried * 4 + sort + member_bytes) as f64;
+        let cache = self.config.flash.page_cache_pages * self.config.flash.page_size;
+        let free = self.config.ram_bytes.saturating_sub(cache) as f64;
+        (free / 2.0 / row).clamp(16.0, 8192.0)
     }
 
     /// Bus transfer of `bytes`.
@@ -354,18 +400,14 @@ impl<'a> CostModel<'a> {
         pre_sel = (pre_sel * corr_pre).clamp(1e-9, 1.0);
         let candidates = (anchor_rows * pre_sel).max(0.0);
 
-        // SKT access: ascending candidates; page-batched.
-        let skt_tables = self.schema.tables().len().min(spec.tables.len().max(1)) as f64;
-        let row_w = skt_tables.max(1.0) * 4.0;
-        let skt_pages = anchor_rows * row_w / self.page();
-        let dense_cost = self.seq_read(anchor_rows * row_w);
-        let sparse_cost = candidates * self.rand_read(row_w as usize);
-        cost += if candidates >= skt_pages {
-            dense_cost
-        } else {
-            sparse_cost
-        };
+        // SKT access: ascending candidates read the rows' pages once, and
+        // a plan whose later stages read no other table skips the SKT.
+        if !plan.skt_tables(spec).is_empty() {
+            let row_w = self.tree.subtree(spec.anchor).len() as f64 * 4.0;
+            cost += self.ordered_reads(candidates, anchor_rows * row_w / self.page(), candidates);
+        }
         cost += self.cpu(candidates);
+        let per_batch = self.batch_rows(spec, plan);
 
         // Post steps.
         let mut surviving = candidates;
@@ -394,12 +436,20 @@ impl<'a> CostModel<'a> {
                             + self.seq_write(matches * 4.0)
                             + self.hash(matches * 7.0);
                     }
-                    // Probe: k hashes per candidate; positives binary
-                    // search the temp.
+                    // Probe: k hashes per candidate; each batch's
+                    // positives look up the temp in member order (one
+                    // pass in all when the members are anchor ids).
                     let fpr = 0.01;
-                    let positives = surviving * (sel + fpr);
+                    let pass_rate = (sel + fpr).min(1.0);
+                    let positives = surviving * pass_rate;
+                    let per_pass = if p.column.table == spec.anchor {
+                        positives
+                    } else {
+                        per_batch * pass_rate
+                    };
                     cost += self.hash(surviving * 7.0)
-                        + positives * matches.log2().max(1.0) * self.rand_read(rec_w as usize);
+                        + self.cpu(positives)
+                        + self.ordered_reads(positives, matches * rec_w / self.page(), per_pass);
                     surviving *= sel;
                 }
                 PostStep::HiddenVerify { pred } => {
@@ -411,24 +461,31 @@ impl<'a> CostModel<'a> {
             }
         }
 
-        // Projection: visible temps fetched up front, probed per row.
+        // Projection: visible temps fetched up front. Anchor columns are
+        // read in one ascending pass; other tables' columns per batch in
+        // member order.
         for cref in &spec.projections {
             let def = self.schema.column_def(*cref);
             if matches!(def.role, ghostdb_catalog::ColumnRole::PrimaryKey) {
                 continue;
             }
-            if def.visibility.is_hidden() {
-                let per_row = match def.ty {
-                    DataType::Char(_) => self.rand_read(4) + 2.0 * self.rand_read(16),
-                    _ => self.rand_read(8),
-                };
-                cost += surviving * per_row;
+            let per_pass = if cref.table == spec.anchor {
+                surviving
             } else {
-                // Fetch once (unless a bloom step already fetched it).
-                let already = plan.post.iter().any(|s| match s {
-                    PostStep::BloomVisible { pred } => spec.predicates[*pred].column == *cref,
-                    _ => false,
-                });
+                // The member-order sort.
+                cost += self.cpu(surviving);
+                per_batch
+            };
+            if def.visibility.is_hidden() {
+                let (key_w, decode) = match def.ty {
+                    DataType::Char(_) => (4.0, 2.0 * self.rand_read(16)),
+                    _ => (8.0, 0.0),
+                };
+                let pages = self.rows(cref.table) * key_w / self.page();
+                cost += self.ordered_reads(surviving, pages, per_pass) + surviving * decode;
+            } else {
+                // Fetched once in the prologue, whatever the plan (a
+                // Bloom step over this column replays the same temp).
                 let t_rows = self.rows(cref.table);
                 let filter_sel: f64 = spec
                     .predicates
@@ -438,11 +495,10 @@ impl<'a> CostModel<'a> {
                     .next()
                     .unwrap_or(1.0);
                 let fetched = t_rows * filter_sel;
-                let vw = self.value_width(*cref);
-                if !already {
-                    cost += self.bus(fetched * (4.0 + vw)) + self.seq_write(fetched * (4.0 + vw));
-                }
-                cost += surviving * fetched.log2().max(1.0) * self.rand_read((4.0 + vw) as usize);
+                let rec_w = 4.0 + self.value_width(*cref);
+                cost += self.bus(fetched * rec_w)
+                    + self.seq_write(fetched * rec_w)
+                    + self.ordered_reads(surviving, fetched * rec_w / self.page(), per_pass);
             }
         }
         // Range pairs split across pre and post stages (or both post)
@@ -636,6 +692,48 @@ mod tests {
             1.0,
             "a lone bound is not a pair"
         );
+    }
+
+    #[test]
+    fn skt_term_only_when_a_later_stage_reads_another_table() {
+        let (schema, tree, stats, config, _) = setup();
+        let m = CostModel::new(&schema, &tree, &stats, &config);
+        let (vis, pre) = (TableId(0), TableId(1));
+        let spec_with = |cols: &[(TableId, &str)]| {
+            QuerySpec::bind(
+                &schema,
+                &tree,
+                "...",
+                vec![vis, pre],
+                cols.iter()
+                    .map(|(t, c)| schema.resolve_column(*t, c).unwrap())
+                    .collect(),
+                vec![Predicate::new(
+                    vis,
+                    ColumnId(2),
+                    ScalarOp::Eq,
+                    Value::Text("p1".into()),
+                )],
+                vec![(
+                    schema.resolve_column(pre, "VisID").unwrap(),
+                    schema.resolve_column(vis, "VisID").unwrap(),
+                )],
+            )
+            .unwrap()
+        };
+        let plan = Plan {
+            sources: vec![Source::HiddenIndexClimb { pred: 0 }],
+            post: vec![],
+            label: "climb".into(),
+        };
+        // Anchor-only: no SKT. Projecting Visit's key adds exactly the
+        // SKT reads (a key projection fetches nothing else).
+        let anchor_only = spec_with(&[(pre, "PreID")]);
+        let with_visit = spec_with(&[(pre, "PreID"), (vis, "VisID")]);
+        assert!(plan.skt_tables(&anchor_only).is_empty());
+        assert_eq!(plan.skt_tables(&with_visit), vec![vis]);
+        let skt = m.plan_cost(&with_visit, &plan) - m.plan_cost(&anchor_only, &plan);
+        assert!(skt > 0.0, "SKT term {skt}");
     }
 
     #[test]

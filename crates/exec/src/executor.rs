@@ -21,15 +21,27 @@
 //!    [`seek_at_least`](IdStream::seek_at_least), which binary-searches
 //!    fixed-width posting lists on flash instead of pulling one id per
 //!    virtual call, and the CPU clock is charged once per output block.
-//! 4. **SKT access** — candidate blocks fill a RAM-budget-sized batch of
-//!    Subtree Key Table rows (page-batched fetches).
+//! 4. **SKT access** — candidate blocks fill a RAM-budget-sized batch.
+//!    A batch row carries the anchor id plus only the Subtree Key Table
+//!    columns a later stage reads ([`Plan::skt_tables`]), so batches
+//!    grow when a plan needs fewer keys; when it needs none the SKT is
+//!    never opened and the stage reports as `anchor-rows`. A bare
+//!    `LIMIT` caps each batch at the rows it still wants.
 //! 5. **Post steps** — Bloom probes run over the whole batch
 //!    ([`BlockedBloomFilter::probe_batch`]: one cache-line touch per
-//!    probe, one clock charge per batch), positives are confirmed
-//!    exactly against the flash temps in one sequential merge-scan, and
-//!    hidden verifies drop the rest.
-//! 6. **Project** — hidden attributes read from the hidden store,
-//!    visible attributes probed from the flash temps; rows stream out.
+//!    probe, one clock charge per batch); the positives, sorted by
+//!    member id, are confirmed exactly through the verifier temp's
+//!    forward sorted-probe [`TempCursor`], which reads the pages
+//!    holding a positive plus a few search probes instead of scanning
+//!    the temp; hidden verifies drop the rest.
+//! 6. **Project** — late and in page order. Each visible column and
+//!    each hidden column of another table is fetched per batch in
+//!    ascending member-id order (hidden cells as their stored keys,
+//!    visible values through the temp's sorted-probe cursor) into a
+//!    buffer charged to the RAM budget; visible columns go first, so a
+//!    temp miss drops the row before any hidden read. Rows are then
+//!    emitted in anchor order — the anchor's own hidden columns read
+//!    directly, in their storage order — so result order is unchanged.
 //! 7. **Epilogue** (analytic queries only) — aggregates, `GROUP BY`,
 //!    `ORDER BY` and `LIMIT` fold the projected rows device-side
 //!    through [`crate::Epilogue`] before the result is sealed, so
@@ -47,19 +59,19 @@
 //! (`workload::reference_execute`, fresh-load mirrors, and the
 //! `EXPLAIN ANALYZE` recount in `tests/observability.rs`).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ghostdb_bloom::BlockedBloomFilter;
-use ghostdb_catalog::{ColumnRole, Predicate, Schema, TreeSchema};
+use ghostdb_catalog::{ColumnRole, Predicate, Schema};
 use ghostdb_flash::Volume;
 use ghostdb_index::{IndexSet, TRANSLATE_SORT_RAM};
 use ghostdb_ram::{RamBudget, RamScope};
-use ghostdb_storage::{HiddenStore, KeyRange};
+use ghostdb_storage::{Cell, HiddenStore, KeyRange};
 use ghostdb_types::{
-    ColumnId, DeviceConfig, GhostError, IdBlock, IdStream, LiveFilter, Result, RowId, SimClock,
-    TableId, Value, BLOCK_CAP,
+    ColumnId, DataType, DeviceConfig, GhostError, IdBlock, IdStream, LiveFilter, Result, RowId,
+    SimClock, TableId, Value, BLOCK_CAP,
 };
 
 use crate::agg::Epilogue;
@@ -68,14 +80,12 @@ use crate::pc::PcLink;
 use crate::plan::{Plan, PostStep, Source};
 use crate::query::QuerySpec;
 use crate::stats::{ExecReport, OpStats, ResultSet};
-use crate::temp::{IdTemp, TempProber, VisibleTemp};
+use crate::temp::{value_width, IdTemp, TempCursor, VisibleTemp};
 
 /// Everything the executor needs about one device + PC pairing.
 pub struct ExecContext<'a> {
     /// The schema.
     pub schema: &'a Schema,
-    /// Tree analysis of the schema.
-    pub tree: &'a TreeSchema,
     /// Hardware model.
     pub config: &'a DeviceConfig,
     /// The device clock (shared with flash and bus).
@@ -256,8 +266,8 @@ pub fn execute(
     // ---- Prologue: fetch visible columns into flash temps ----
     // One visible predicate per table may restrict that table's fetches
     // (any conjunct is a sound filter).
-    let filter_pred_of: HashMap<TableId, &Predicate> = {
-        let mut m = HashMap::new();
+    let filter_pred_of: BTreeMap<TableId, &Predicate> = {
+        let mut m = BTreeMap::new();
         for p in &preds {
             if !ctx.schema.is_hidden(p.column) {
                 m.entry(p.column.table).or_insert(p);
@@ -311,7 +321,7 @@ pub fn execute(
     };
 
     // Projection temps, keyed by column.
-    let mut proj_temps: HashMap<(u16, u16), VisibleTemp> = HashMap::new();
+    let mut proj_temps: BTreeMap<(u16, u16), VisibleTemp> = BTreeMap::new();
     for cref in &spec.projections {
         let def = ctx.schema.column_def(*cref);
         if def.visibility.is_hidden() || matches!(def.role, ColumnRole::PrimaryKey) {
@@ -364,14 +374,14 @@ pub fn execute(
             // ids; replay them into the bloom from flash (cheaper than a
             // second bus transfer).
             let temp = proj_temps.get(&key).expect("checked");
-            let ids = temp_ids(temp, &bloom_scope)?;
+            let mut replay = temp.cursor(&bloom_scope)?;
             let mut fill =
                 BatchedBloomFill::new(&mut bloom, ctx.clock.clone(), ctx.config.cpu.hash_ns);
-            for id in &ids {
-                fill.push(id.0 as u64);
+            for i in 0..temp.len() {
+                fill.push(replay.id_at(i)?.0 as u64);
             }
             fill.flush();
-            inserted = ids.len() as u64;
+            inserted = temp.len();
             verify = VerifySource::Shared(key);
         } else {
             // Ids only: EvalPredicate is a far smaller transfer than
@@ -516,25 +526,50 @@ pub fn execute(
         meter: merge_meter.clone(),
     };
 
-    // ---- SKT cursor (or pseudo rows for leaf anchors) ----
+    // ---- Late materialization: the keys a batch row carries ----
+    // The anchor id, plus the SKT columns of the tables a later stage
+    // reads; with none, the SKT is never opened (`anchor-rows`).
+    let skt_tables = plan.skt_tables(spec);
     let skt_scope = RamScope::new(ctx.ram);
-    let has_children = !ctx.tree.children(spec.anchor).is_empty();
-    let skt = if has_children {
-        Some(ctx.indexes.skt(spec.anchor)?)
+    let (mut skt_cursor, skt_cols) = if skt_tables.is_empty() {
+        (None, Vec::new())
     } else {
-        None
+        let skt = ctx.indexes.skt(spec.anchor)?;
+        let cols = skt_tables
+            .iter()
+            .map(|&t| skt.column_of(t))
+            .collect::<Result<Vec<usize>>>()?;
+        (Some(skt.cursor(&skt_scope)?), cols)
     };
-    let mut cursor = match skt {
-        Some(s) => Some(s.cursor(&skt_scope)?),
-        None => None,
-    };
+    let n_cols = 1 + skt_tables.len();
     let col_of = |table: TableId| -> Result<usize> {
-        match skt {
-            Some(s) => s.column_of(table),
-            None if table == spec.anchor => Ok(0),
-            None => Err(GhostError::exec("leaf anchor cannot reach other tables")),
+        if table == spec.anchor {
+            return Ok(0);
         }
+        skt_tables
+            .iter()
+            .position(|&t| t == table)
+            .map(|i| i + 1)
+            .ok_or_else(|| GhostError::exec(format!("{table} is not carried by this plan")))
     };
+
+    // Sorted-probe cursors: one per projection temp, one per Bloom
+    // step's exact verifier.
+    let probe_scope = RamScope::new(ctx.ram);
+    let mut proj_cursors: BTreeMap<(u16, u16), TempCursor<'_>> = BTreeMap::new();
+    for (key, temp) in &proj_temps {
+        proj_cursors.insert(*key, temp.cursor(&probe_scope)?);
+    }
+    let mut verify_cursors: Vec<TempCursor<'_>> = Vec::new();
+    for b in &bloom_steps {
+        verify_cursors.push(match &b.verify {
+            VerifySource::Shared(key) => proj_temps
+                .get(key)
+                .ok_or_else(|| GhostError::exec("missing shared verify temp"))?
+                .cursor(&probe_scope)?,
+            VerifySource::Own(i) => own_verify_temps[*i].cursor(&probe_scope)?,
+        });
+    }
 
     // Precompute projection dispatch. Stored PK/FK values are physical
     // ids; results present the logical (live-rank) view, so key
@@ -544,18 +579,33 @@ pub fn execute(
             table: TableId,
             col: usize,
         },
-        Hidden {
-            table: TableId,
+        /// Anchor column on the device: read at emit, in anchor order
+        /// (which is its storage order).
+        AnchorHidden {
             column: ColumnId,
-            col: usize,
             fk_target: Option<TableId>,
         },
-        Visible {
-            key: (u16, u16),
-            col: usize,
+        /// Any other column: fetched per batch in member order into
+        /// `fetches[slot]`.
+        Fetched {
+            slot: usize,
             fk_target: Option<TableId>,
         },
     }
+    /// One column fetched per batch, in ascending member-id order, into
+    /// `cells` (indexed by batch row).
+    struct MemberFetch {
+        table: TableId,
+        column: ColumnId,
+        /// Batch column holding the member ids.
+        col: usize,
+        /// Projection temp of a visible column; `None` for hidden.
+        temp: Option<(u16, u16)>,
+        /// RAM charged per batch row.
+        width: usize,
+        cells: Vec<Option<Cell>>,
+    }
+    let mut fetches: Vec<MemberFetch> = Vec::new();
     let mut projs: Vec<Proj> = Vec::new();
     for cref in &spec.projections {
         let def = ctx.schema.column_def(*cref);
@@ -564,24 +614,43 @@ pub fn execute(
             ColumnRole::ForeignKey(t) => Some(t),
             _ => None,
         };
-        projs.push(match (&def.role, def.visibility.is_hidden()) {
-            (ColumnRole::PrimaryKey, _) => Proj::Pk {
+        let hidden = def.visibility.is_hidden();
+        projs.push(match def.role {
+            ColumnRole::PrimaryKey => Proj::Pk {
                 table: cref.table,
                 col,
             },
-            (_, true) => Proj::Hidden {
-                table: cref.table,
+            _ if col == 0 && hidden => Proj::AnchorHidden {
                 column: cref.column,
-                col,
                 fk_target,
             },
-            (_, false) => Proj::Visible {
-                key: (cref.table.0, cref.column.0),
-                col,
-                fk_target,
-            },
+            _ => {
+                fetches.push(MemberFetch {
+                    table: cref.table,
+                    column: cref.column,
+                    col,
+                    temp: (!hidden).then_some((cref.table.0, cref.column.0)),
+                    // A hidden cell is buffered as its stored key (a
+                    // dictionary code for `CHAR`) and decoded at emit; a
+                    // visible one as its value.
+                    width: match def.ty {
+                        _ if !hidden => value_width(def.ty),
+                        DataType::Char(_) => 4,
+                        _ => 8,
+                    },
+                    cells: Vec::new(),
+                });
+                Proj::Fetched {
+                    slot: fetches.len() - 1,
+                    fk_target,
+                }
+            }
         });
     }
+    // Visible fetches first: a temp miss drops the row before any
+    // hidden read is spent on it.
+    let mut fetch_order: Vec<usize> = (0..fetches.len()).collect();
+    fetch_order.sort_by_key(|&i| fetches[i].temp.is_none());
     // Present a stored (physical) key value in the logical space.
     let logical_key = |target: Option<TableId>, v: Value| -> Value {
         match (target, &v) {
@@ -592,33 +661,32 @@ pub fn execute(
         }
     };
 
-    // Probers over all temps.
-    let probe_scope = RamScope::new(ctx.ram);
-    let mut proj_probers: HashMap<(u16, u16), TempProber<'_>> = HashMap::new();
-    for (key, temp) in &proj_temps {
-        proj_probers.insert(*key, temp.prober(&probe_scope)?);
-    }
-
     // ---- Stream candidates in RAM-sized batches ----
     //
-    // Bloom positives are confirmed in bulk: the batch's member ids are
-    // sorted in RAM and merged against ONE sequential scan of the temp,
-    // instead of a per-candidate flash binary search — the difference
-    // between O(batch · log n) page opens and O(temp pages) per batch.
-    let n_cols = match skt {
-        Some(s) => s.table_order().len(),
-        None => 1,
+    // A batch row costs its carried keys, one sort slot (member id, row)
+    // when a Bloom step or a member fetch reorders the batch, and the
+    // member fetches' buffered cells. Three quarters of the remaining RAM
+    // go to the batch (the rest is headroom for the epilogue's state);
+    // everything is preallocated so nothing grows past its share.
+    let sort_slot = if bloom_steps.is_empty() && fetches.is_empty() {
+        0
+    } else {
+        std::mem::size_of::<(RowId, u32)>()
     };
-    let row_width = n_cols * std::mem::size_of::<RowId>();
-    // Half the remaining RAM for the batch, keeping headroom for the
-    // verification scans' page buffers; preallocated exactly so the
-    // tracked vector never grows past its share.
-    let page = ctx.volume.page_size();
-    let batch_cap =
-        ((ctx.ram.available() / 2).saturating_sub(2 * page) / row_width.max(1)).clamp(16, 8192);
+    let fetch_bytes: usize = fetches.iter().map(|f| f.width).sum();
+    let row_bytes = n_cols * std::mem::size_of::<RowId>() + sort_slot + fetch_bytes;
+    let batch_cap = (ctx.ram.available() / 4 * 3 / row_bytes).clamp(16, 8192);
     let batch_scope = RamScope::new(ctx.ram);
     let mut batch: ghostdb_ram::TrackedVec<RowId> =
         ghostdb_ram::TrackedVec::with_capacity(&batch_scope, batch_cap * n_cols)?;
+    let mut order: ghostdb_ram::TrackedVec<(RowId, u32)> = ghostdb_ram::TrackedVec::with_capacity(
+        &batch_scope,
+        if sort_slot == 0 { 0 } else { batch_cap },
+    )?;
+    let _fetch_ram = probe_scope.alloc(batch_cap * fetch_bytes)?;
+    for f in &mut fetches {
+        f.cells = vec![None; batch_cap];
+    }
 
     let mut skt_ns = 0u64;
     let mut skt_in = 0u64;
@@ -646,10 +714,16 @@ pub fn execute(
     let mut probe_hits: Vec<bool> = Vec::new();
     let mut exhausted = false;
     while !exhausted {
-        // Phase 1: fill the batch with SKT rows.
+        // Phase 1: fill the batch with each candidate's carried keys. A
+        // bare LIMIT caps the batch at the rows it still wants.
+        let cap = match epilogue.as_ref().and_then(Epilogue::wants) {
+            Some(0) => break,
+            Some(w) => batch_cap.min(w as usize),
+            None => batch_cap,
+        };
         batch.clear();
         let mut batch_rows = 0usize;
-        while batch_rows < batch_cap {
+        while batch_rows < cap {
             if cand_pos == cand_block.len() {
                 candidates.next_block(&mut cand_block)?;
                 cand_pos = 0;
@@ -662,13 +736,13 @@ pub fn execute(
             cand_pos += 1;
             let t0 = ctx.clock.now();
             skt_in += 1;
-            match cursor.as_mut() {
-                Some(cur) => {
-                    for rid in cur.fetch(id)?.ids {
-                        batch.push(rid)?;
-                    }
+            batch.push(id)?;
+            if let Some(cur) = skt_cursor.as_mut() {
+                let start = batch.len();
+                for _ in &skt_cols {
+                    batch.push(RowId(0))?;
                 }
-                None => batch.push(id)?,
+                cur.fetch_cols(id, &skt_cols, &mut batch.as_mut_slice()[start..])?;
             }
             batch_rows += 1;
             skt_ns += ctx.clock.now().since(t0);
@@ -676,9 +750,7 @@ pub fn execute(
         if batch_rows == 0 {
             break;
         }
-        let rows = |b: &ghostdb_ram::TrackedVec<RowId>, i: usize| -> Vec<RowId> {
-            b.as_slice()[i * n_cols..(i + 1) * n_cols].to_vec()
-        };
+        let key_at = |i: usize, col: usize| batch.as_slice()[i * n_cols + col];
         let mut alive = vec![true; batch_rows];
 
         // Phases 2+3: post steps in plan order. A Bloom step
@@ -697,7 +769,7 @@ pub fn execute(
                     probe_rows.clear();
                     for (i, a) in alive.iter().enumerate() {
                         if *a {
-                            probe_keys.push(batch.as_slice()[i * n_cols + member_col].0 as u64);
+                            probe_keys.push(key_at(i, member_col).0 as u64);
                             probe_rows.push(i);
                         }
                     }
@@ -706,43 +778,30 @@ pub fn execute(
                         ctx.config.cpu.hash_ns * b.bloom.k() as u64 * probe_keys.len() as u64,
                     );
                     b.bloom.probe_batch(&probe_keys, &mut probe_hits);
-                    let mut positives: Vec<(RowId, usize)> = Vec::new();
+                    order.clear();
                     for ((&key, &row), &hit) in probe_keys.iter().zip(&probe_rows).zip(&probe_hits)
                     {
                         if hit {
-                            positives.push((RowId(key as u32), row));
+                            order.push((RowId(key as u32), row as u32))?;
                         } else {
                             alive[row] = false;
                         }
                     }
-                    bloom_runtime[bi].1 += positives.len() as u64;
-                    // Exact confirmation: one sequential scan of the temp
-                    // per batch (skipped entirely when the Bloom filter
-                    // cleared the whole batch), so false positives never
-                    // reach results.
-                    if !positives.is_empty() {
-                        positives.sort_unstable();
+                    bloom_runtime[bi].1 += order.len() as u64;
+                    // Exact confirmation: the positives in member order
+                    // through the verifier's sorted-probe cursor (no read
+                    // at all when the Bloom filter cleared the whole
+                    // batch), so false positives never reach results.
+                    if !order.is_empty() {
+                        order.as_mut_slice().sort_unstable();
                         ctx.clock
-                            .advance(ctx.config.cpu.tuple_op_ns * positives.len() as u64);
-                        let mut scan = match &b.verify {
-                            VerifySource::Shared(key) => proj_temps
-                                .get(key)
-                                .ok_or_else(|| GhostError::exec("missing shared verify temp"))?
-                                .id_scan(&probe_scope)?,
-                            VerifySource::Own(i) => own_verify_temps[*i].scan(&probe_scope)?,
-                        };
-                        let mut current = scan.next_id()?;
-                        for (member, i) in positives {
-                            while let Some(t) = current {
-                                if t >= member {
-                                    break;
-                                }
-                                current = scan.next_id()?;
-                            }
-                            if current == Some(member) {
+                            .advance(ctx.config.cpu.tuple_op_ns * order.len() as u64);
+                        let cur = &mut verify_cursors[bi];
+                        for &(member, i) in order.iter() {
+                            if cur.contains(member)? {
                                 bloom_runtime[bi].2 += 1;
                             } else {
-                                alive[i] = false;
+                                alive[i as usize] = false;
                             }
                         }
                     }
@@ -757,7 +816,7 @@ pub fn execute(
                             continue;
                         }
                         v.checked += 1;
-                        let member = batch.as_slice()[i * n_cols + member_col];
+                        let member = key_at(i, member_col);
                         ctx.clock.advance(ctx.config.cpu.tuple_op_ns);
                         // Base rows test their stored key against the
                         // precomputed range; delta rows compare values in
@@ -781,67 +840,92 @@ pub fn execute(
             }
         }
 
-        // Phase 4: projection of survivors.
-        't_project: for (i, a) in alive.iter().enumerate() {
+        // Phase 4: projection of survivors. Each fetched column is read
+        // in ascending member order (equal members share one read) into
+        // its buffer; then rows are emitted in anchor order.
+        let t0 = ctx.clock.now();
+        for &fi in &fetch_order {
+            let f = &mut fetches[fi];
+            order.clear();
+            for (i, a) in alive.iter().enumerate() {
+                if *a {
+                    order.push((key_at(i, f.col), i as u32))?;
+                }
+            }
+            order.as_mut_slice().sort_unstable();
+            ctx.clock
+                .advance(ctx.config.cpu.tuple_op_ns * order.len() as u64);
+            let mut last: Option<(RowId, Option<Cell>)> = None;
+            for &(member, i) in order.iter() {
+                let cell = match &last {
+                    Some((m, c)) if *m == member => c.clone(),
+                    _ => {
+                        let c = match f.temp {
+                            None => Some(ctx.hidden.cell(f.table, f.column, member)?),
+                            Some(key) => proj_cursors
+                                .get_mut(&key)
+                                .ok_or_else(|| GhostError::exec("missing projection temp"))?
+                                .value(member)?
+                                .map(Cell::Value),
+                        };
+                        last = Some((member, c.clone()));
+                        c
+                    }
+                };
+                match cell {
+                    Some(c) => f.cells[i as usize] = Some(c),
+                    // The fetch was filtered by a predicate this row
+                    // fails — drop it (exactness net).
+                    None => alive[i as usize] = false,
+                }
+            }
+        }
+        for (i, a) in alive.iter().enumerate() {
             if !*a {
                 continue;
             }
-            let t0 = ctx.clock.now();
-            let row_ids = rows(&batch, i);
+            let anchor_id = key_at(i, 0);
             let mut row: Vec<Value> = Vec::with_capacity(projs.len());
             for p in &projs {
                 ctx.clock.advance(ctx.config.cpu.tuple_op_ns);
-                match p {
-                    Proj::Pk { table, col } => row.push(Value::Int(
-                        ctx.hidden.live_rank(*table, row_ids[*col]) as i64,
-                    )),
-                    Proj::Hidden {
-                        table,
-                        column,
-                        col,
-                        fk_target,
-                    } => {
-                        let v = ctx
-                            .hidden
-                            .value(&probe_scope, *table, *column, row_ids[*col])?;
-                        row.push(logical_key(*fk_target, v));
+                let (v, fk_target) = match p {
+                    Proj::Pk { table, col } => {
+                        let rank = ctx.hidden.live_rank(*table, key_at(i, *col));
+                        (Value::Int(rank as i64), None)
                     }
-                    Proj::Visible {
-                        key,
-                        col,
-                        fk_target,
-                    } => {
-                        let prober = proj_probers
-                            .get_mut(key)
-                            .ok_or_else(|| GhostError::exec("missing projection temp"))?;
-                        match prober.probe(row_ids[*col])? {
-                            Some(v) => row.push(logical_key(*fk_target, v)),
-                            None => {
-                                // The fetch was filtered by a predicate
-                                // this candidate fails — drop it
-                                // (exactness net).
-                                project_ns += ctx.clock.now().since(t0);
-                                continue 't_project;
-                            }
-                        }
+                    Proj::AnchorHidden { column, fk_target } => (
+                        ctx.hidden
+                            .value(&probe_scope, spec.anchor, *column, anchor_id)?,
+                        *fk_target,
+                    ),
+                    Proj::Fetched { slot, fk_target } => {
+                        let f = &mut fetches[*slot];
+                        let v = match f.cells[i].take() {
+                            Some(Cell::Value(v)) => v,
+                            Some(key) => ctx.hidden.decode(f.table, f.column, key)?,
+                            None => return Err(GhostError::exec("member column not fetched")),
+                        };
+                        (v, *fk_target)
                     }
-                }
+                };
+                row.push(logical_key(fk_target, v));
             }
-            project_ns += ctx.clock.now().since(t0);
             rows_out += 1;
             match epilogue.as_mut() {
                 Some(epi) => {
                     if !epi.push(row)? {
                         // A bare LIMIT is satisfied — stop pulling.
                         exhausted = true;
-                        break 't_project;
+                        break;
                     }
                 }
                 None => result.rows.push(row),
             }
         }
+        project_ns += ctx.clock.now().since(t0);
     }
     drop(batch);
+    drop(order);
 
     // ---- Assemble the report ----
     let total_gallops: u64 = source_meta
@@ -878,8 +962,9 @@ pub fn execute(
         let survived = merge_meter.out.load(Ordering::Relaxed);
         skt_attrs.push(("live_drops", entered.saturating_sub(survived)));
     }
+    skt_attrs.push(("pages", skt_cursor.as_ref().map_or(0, |c| c.page_reads())));
     report_ops.push(OpStats {
-        name: if has_children {
+        name: if skt_cursor.is_some() {
             "access-skt"
         } else {
             "anchor-rows"
@@ -937,7 +1022,8 @@ pub fn execute(
         report_ops.extend(epi_ops);
     }
 
-    drop(proj_probers);
+    drop(proj_cursors);
+    drop(verify_cursors);
     for (_, temp) in proj_temps.into_iter() {
         temp.free()?;
     }
@@ -957,16 +1043,6 @@ pub fn execute(
         flash: ctx.volume.nand().stats().since(&flash_start),
     };
     Ok((result, report))
-}
-
-/// Read back the stored ids of a temp (bloom rebuild path).
-fn temp_ids(temp: &VisibleTemp, scope: &RamScope) -> Result<Vec<RowId>> {
-    let mut prober = temp.prober(scope)?;
-    let mut out = Vec::with_capacity(temp.len() as usize);
-    for i in 0..temp.len() {
-        out.push(prober.record_id(i)?);
-    }
-    Ok(out)
 }
 
 fn build_source<'a>(

@@ -57,4 +57,4 @@ pub use pc::{PairStream, PcLink, VecPairStream};
 pub use plan::{Plan, PostStep, Source};
 pub use query::{OutputExpr, QuerySpec};
 pub use stats::{ExecReport, OpStats, ResultSet};
-pub use temp::{IdTemp, VisibleTemp};
+pub use temp::{IdTemp, TempCursor, VisibleTemp};

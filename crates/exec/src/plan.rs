@@ -98,6 +98,25 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// Tables other than the anchor whose row ids a stage after the SKT
+    /// access reads: the tables of post-step predicates and of projected
+    /// columns, ascending. Batch rows carry exactly these SKT columns
+    /// beside the anchor id; when the list is empty the SKT is never
+    /// opened and the stage is `anchor-rows`. The executor, `EXPLAIN`
+    /// and the cost model all decide through this one function.
+    pub fn skt_tables(&self, spec: &QuerySpec) -> Vec<TableId> {
+        let mut tables: Vec<TableId> = self
+            .post
+            .iter()
+            .map(|s| spec.predicates[s.pred()].column.table)
+            .chain(spec.projections.iter().map(|c| c.table))
+            .filter(|&t| t != spec.anchor)
+            .collect();
+        tables.sort_unstable();
+        tables.dedup();
+        tables
+    }
+
     /// Check that the plan covers each predicate exactly once and that
     /// its shapes are applicable (cross groups reference one table, ...).
     pub fn validate(&self, schema: &Schema, spec: &QuerySpec) -> Result<()> {

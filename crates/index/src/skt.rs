@@ -296,23 +296,44 @@ pub struct SktCursor<'a> {
 impl SktCursor<'_> {
     /// Fetch the SKT row for root id `id` (flash base or RAM delta).
     pub fn fetch(&mut self, id: RowId) -> Result<SktRow> {
+        let cols: Vec<usize> = (0..self.skt.tables.len()).collect();
+        let mut ids = vec![RowId(0); cols.len()];
+        self.fetch_cols(id, &cols, &mut ids)?;
+        Ok(SktRow { ids })
+    }
+
+    /// Copy the ids at columns `cols` of root row `id` into `out`
+    /// (`out.len() == cols.len()`), so a caller carries only the keys it
+    /// reads. The flash page read is the same as for the whole row.
+    pub fn fetch_cols(&mut self, id: RowId, cols: &[usize], out: &mut [RowId]) -> Result<()> {
         if id.0 >= self.skt.row_count() {
             return Err(GhostError::exec(format!(
                 "SKT row {id} out of range ({} rows)",
                 self.skt.row_count()
             )));
         }
+        if let Some(c) = cols.iter().find(|&&c| c >= self.skt.tables.len()) {
+            return Err(GhostError::exec(format!("SKT column {c} out of range")));
+        }
         if id.0 >= self.skt.rows {
-            return Ok(SktRow {
-                ids: self.skt.delta[(id.0 - self.skt.rows) as usize].clone(),
-            });
+            let row = &self.skt.delta[(id.0 - self.skt.rows) as usize];
+            for (o, &c) in out.iter_mut().zip(cols) {
+                *o = row[c];
+            }
+            return Ok(());
         }
         let width = self.skt.row_width();
         let page_size = self.buf.len();
         let start = id.index() as u64 * width as u64;
-        let mut raw = vec![0u8; width];
         let first_page = start / page_size as u64;
         let last_page = (start + width as u64 - 1) / page_size as u64;
+        let pick = |raw: &[u8], out: &mut [RowId]| {
+            for (o, &c) in out.iter_mut().zip(cols) {
+                *o = RowId(u32::from_le_bytes(
+                    raw[c * 4..c * 4 + 4].try_into().expect("4B"),
+                ));
+            }
+        };
         if first_page == last_page {
             // Whole row within one page: serve from the buffered page.
             if self.buf_page != first_page {
@@ -325,20 +346,18 @@ impl SktCursor<'_> {
                 self.reads += 1;
             }
             let off = (start - first_page * page_size as u64) as usize;
-            raw.copy_from_slice(&self.buf[off..off + width]);
+            pick(&self.buf[off..off + width], out);
         } else {
             // Row straddles pages: read it directly (rare).
+            let mut raw = vec![0u8; width];
             self.skt
                 .volume
                 .read_at(&self.skt.segment, start, &mut raw)?;
             self.buf_page = u64::MAX;
             self.reads += 1;
+            pick(&raw, out);
         }
-        let ids = raw
-            .chunks_exact(4)
-            .map(|c| RowId(u32::from_le_bytes(c.try_into().expect("4B"))))
-            .collect();
-        Ok(SktRow { ids })
+        Ok(())
     }
 
     /// Page-read operations issued by this cursor (observability).

@@ -168,6 +168,16 @@ impl TableDelta {
     }
 }
 
+/// One hidden cell as [`HiddenStore::cell`] reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    /// A flash-resident base cell: its order key (fixed columns) or
+    /// dictionary code (`CHAR` columns).
+    Key(u64),
+    /// A delta or overwritten cell, already a value in RAM.
+    Value(Value),
+}
+
 /// Old→new code remap of one dict column after a flush rebuilt its
 /// dictionary: `map[old_base_code] = new_code`, plus the new code of
 /// every delta string. Index flushes use this to re-key directories.
@@ -682,6 +692,47 @@ impl HiddenStore {
         String::from_utf8(s).map_err(|_| GhostError::corrupt("non-utf8 dictionary entry"))
     }
 
+    /// One cell as the store holds it: a flash-resident base cell as
+    /// its raw order key (one read of the key or code segment, no
+    /// dictionary probe), a delta or overwritten cell as its RAM value.
+    /// [`decode`](Self::decode) turns it into a [`Value`]; splitting the
+    /// two lets a caller read a column's keys in row order and decode
+    /// them later.
+    pub fn cell(&self, table: TableId, column: ColumnId, row: RowId) -> Result<Cell> {
+        if row.0 >= self.row_count(table) {
+            return Err(GhostError::exec(format!(
+                "row {row} out of range for {table}"
+            )));
+        }
+        let store = self.store(table, column)?; // hidden-column check
+        if row.0 >= self.base_rows(table) {
+            return Ok(Cell::Value(self.delta_value(table, column, row)?.clone()));
+        }
+        if let Some(v) = self.overlay(table, column, row) {
+            return Ok(Cell::Value(v.clone()));
+        }
+        let (seg, width) = match store {
+            ColumnStore::Fixed { keys, .. } => (keys, 8),
+            ColumnStore::Dict { codes, .. } => (codes, 4),
+        };
+        let mut buf = [0u8; 8];
+        self.volume
+            .read_at(seg, row.index() as u64 * width as u64, &mut buf[..width])?;
+        Ok(Cell::Key(u64::from_le_bytes(buf)))
+    }
+
+    /// Decode a [`cell`](Self::cell) of `column` into its [`Value`]
+    /// (dictionary codes resolve on flash).
+    pub fn decode(&self, table: TableId, column: ColumnId, cell: Cell) -> Result<Value> {
+        match (cell, self.store(table, column)?) {
+            (Cell::Value(v), _) => Ok(v),
+            (Cell::Key(key), ColumnStore::Fixed { ty, .. }) => Value::from_order_key(*ty, key),
+            (Cell::Key(code), ColumnStore::Dict { offsets, bytes, .. }) => {
+                Ok(Value::Text(self.dict_entry(offsets, bytes, code as u32)?))
+            }
+        }
+    }
+
     /// Decode one cell back into a [`Value`].
     pub fn value(
         &self,
@@ -690,39 +741,8 @@ impl HiddenStore {
         column: ColumnId,
         row: RowId,
     ) -> Result<Value> {
-        if row.0 >= self.row_count(table) {
-            return Err(GhostError::exec(format!(
-                "row {row} out of range for {table}"
-            )));
-        }
-        if row.0 >= self.base_rows(table) {
-            self.store(table, column)?; // hidden-column check
-            return Ok(self.delta_value(table, column, row)?.clone());
-        }
-        if let Some(v) = self.overlay(table, column, row) {
-            self.store(table, column)?; // hidden-column check
-            return Ok(v.clone());
-        }
-        match self.store(table, column)? {
-            ColumnStore::Fixed { ty, keys } => {
-                let mut buf = [0u8; 8];
-                self.volume
-                    .read_at(keys, row.index() as u64 * 8, &mut buf)?;
-                Value::from_order_key(*ty, u64::from_le_bytes(buf))
-            }
-            ColumnStore::Dict {
-                codes,
-                offsets,
-                bytes,
-                ..
-            } => {
-                let mut buf = [0u8; 4];
-                self.volume
-                    .read_at(codes, row.index() as u64 * 4, &mut buf)?;
-                let code = u32::from_le_bytes(buf);
-                Ok(Value::Text(self.dict_entry(offsets, bytes, code)?))
-            }
-        }
+        let cell = self.cell(table, column, row)?;
+        self.decode(table, column, cell)
     }
 
     /// Dictionary lower bound: the first code whose string is `>= probe`,

@@ -32,8 +32,8 @@ mod visible;
 
 pub use dataset::{validate_row, Dataset, TableData};
 pub use hidden::{
-    key_range_for, ColumnManifest, DictRemap, FilterScan, FlushRemaps, HiddenManifest, HiddenStore,
-    KeyRange, KeyScan, LoadEncoders, TableManifest,
+    key_range_for, Cell, ColumnManifest, DictRemap, FilterScan, FlushRemaps, HiddenManifest,
+    HiddenStore, KeyRange, KeyScan, LoadEncoders, TableManifest,
 };
 pub use visible::VisibleStore;
 

@@ -208,3 +208,65 @@ fn read_handles_take_exactly_one_select() {
     assert_eq!(db.query(count).unwrap().rows.rows, all);
     assert_eq!(snap.query(count).unwrap().rows.rows, all);
 }
+
+/// The attribute `name` of the executor operator `op`, if reported.
+fn op_attr(out: &ghostdb::QueryOutcome, op: &str, name: &str) -> Option<u64> {
+    let stats = out.report.ops.iter().find(|o| o.name == op)?;
+    stats
+        .attrs
+        .iter()
+        .find(|(k, _)| *k == name)
+        .map(|(_, v)| *v)
+}
+
+/// Late materialization, SKT side: a plan whose later stages read no
+/// table but the anchor never opens the Subtree Key Table. The first
+/// plan-game query projects only `Pre.PreID` under one hidden predicate;
+/// its chosen plan renders `anchor-rows` and reads zero SKT pages, and
+/// the answer still matches the reference engine.
+#[test]
+fn anchor_only_plan_reads_no_skt_pages() {
+    let (db, cfg, data) = medical_db_with_data(2_000);
+    let sql = &ghostdb_workload::game_queries(cfg.date_start, cfg.date_span_days)[0].sql;
+    let explained = db.explain_analyze(sql).unwrap();
+    assert!(explained.contains("anchor-rows"), "{explained}");
+    assert!(!explained.contains("access-skt"), "{explained}");
+    let out = db.query(sql).unwrap();
+    assert!(!out.rows.rows.is_empty());
+    assert_eq!(op_attr(&out, "anchor-rows", "pages"), Some(0));
+    assert_matches_reference(&db, &data, sql, &out);
+
+    // A projected non-anchor column makes the same query read the SKT.
+    let wide = sql.replace("SELECT Pre.PreID", "SELECT Pre.PreID, Vis.VisID");
+    let out = db.query(&wide).unwrap();
+    assert!(op_attr(&out, "access-skt", "pages").unwrap() > 0);
+    assert_matches_reference(&db, &data, &wide, &out);
+}
+
+/// A bare `LIMIT k` caps the SKT batch at the rows it still wants: with
+/// a non-anchor projection and no post step, at most `k` candidates go
+/// through the SKT (a full RAM-sized batch would pull thousands), and
+/// the rows are the first `k` of the unlimited answer.
+#[test]
+fn bare_limit_pulls_at_most_k_rows_past_the_skt() {
+    let (db, _cfg, data) = medical_db_with_data(3_000);
+    let base = "SELECT Pre.PreID, Vis.Date, Vis.Purpose FROM Prescription Pre, Visit Vis \
+                WHERE Vis.VisID = Pre.VisID";
+    let all = db.query(base).unwrap();
+    assert_matches_reference(&db, &data, base, &all);
+    for k in [1usize, 7, 40] {
+        let out = db.query(&format!("{base} LIMIT {k}")).unwrap();
+        assert_eq!(out.rows.rows, all.rows.rows[..k], "LIMIT {k}");
+        let skt = out
+            .report
+            .ops
+            .iter()
+            .find(|o| o.name == "access-skt")
+            .expect("the projection needs the SKT");
+        assert!(
+            skt.tuples_in <= k as u64,
+            "LIMIT {k} pulled {} rows through the SKT",
+            skt.tuples_in
+        );
+    }
+}
