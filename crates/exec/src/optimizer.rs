@@ -152,8 +152,8 @@ pub fn enumerate_plans(
         // Cross-filtering variant: group pre-placed predicates sharing a
         // non-anchor table (climbable hidden ones + delegated visible
         // ones) into one CrossGroup.
-        let mut by_table: std::collections::HashMap<TableId, (Vec<usize>, Vec<usize>)> =
-            std::collections::HashMap::new();
+        let mut by_table: std::collections::BTreeMap<TableId, (Vec<usize>, Vec<usize>)> =
+            std::collections::BTreeMap::new();
         for (i, place) in combo.iter().enumerate() {
             let t = spec.predicates[i].column.table;
             if t == spec.anchor {

@@ -55,10 +55,11 @@
 //!   fails with "flash part worn out" — never silent corruption.
 //! * **`ghostdb-persist` and above** assume the volume's usable page
 //!   ([`Volume::page_size`]) is reliable-or-error: layers above the volume
-//!   never see a flipped bit. The durability layer seals the same
-//!   codeword onto its own (reserved-region) meta and WAL pages, so a
-//!   rotted superblock falls back to the older epoch slot and a rotted
-//!   WAL page ends replay at the last good record.
+//!   never see a flipped bit. The durability layer frames its own
+//!   (reserved-region) meta and WAL pages with the same page codec
+//!   ([`Nand::frame`] / [`Nand::check`]), so a rotted superblock falls
+//!   back to the older epoch slot and a rotted WAL page ends replay at
+//!   the last good record.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

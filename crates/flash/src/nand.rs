@@ -5,6 +5,8 @@ use std::sync::{Arc, Mutex};
 
 use ghostdb_types::{FlashConfig, GhostError, Result, SimClock};
 
+use crate::ecc;
+
 /// Global page index within the flash part.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageAddr(pub u32);
@@ -236,6 +238,48 @@ impl Nand {
     /// Block containing `page`.
     pub fn block_of(&self, page: PageAddr) -> BlockId {
         BlockId(page.0 / self.cfg.pages_per_block as u32)
+    }
+
+    /// Usable payload bytes per page: the raw page minus the
+    /// [`ecc::TAIL_BYTES`] codeword when ECC is enabled. This is the
+    /// page codec's unit; every layer that frames pages works in it.
+    pub fn payload_size(&self) -> usize {
+        if self.cfg.ecc_enabled {
+            self.cfg.page_size - ecc::TAIL_BYTES
+        } else {
+            self.cfg.page_size
+        }
+    }
+
+    /// Frame `page` in place as the raw image to program. `page` holds
+    /// a payload of at most [`payload_size`](Self::payload_size) bytes,
+    /// or a whole raw page being moved (its old codeword is dropped).
+    /// With ECC on, the payload is padded with the erased `0xFF` pattern
+    /// and sealed with a fresh codeword, charging the encode cost; with
+    /// ECC off it is programmed as it stands.
+    pub fn frame(&self, page: &mut Vec<u8>) {
+        if !self.cfg.ecc_enabled {
+            return;
+        }
+        let payload = self.payload_size();
+        debug_assert!(page.len() <= payload || page.len() == self.cfg.page_size);
+        page.truncate(payload);
+        page.resize(payload, 0xFF);
+        page.resize(self.cfg.page_size, 0);
+        ecc::seal_page(page);
+        self.clock.advance(self.cfg.ecc_cost_ns(self.cfg.page_size));
+    }
+
+    /// Check a whole raw page as read: verify its codeword, repairing a
+    /// single flipped bit in place, and charge the check cost. Always
+    /// [`Clean`](ecc::Verdict::Clean) with ECC off. The payload is
+    /// `raw[..payload_size()]`.
+    pub fn check(&self, raw: &mut [u8]) -> ecc::Verdict {
+        if !self.cfg.ecc_enabled {
+            return ecc::Verdict::Clean;
+        }
+        self.clock.advance(self.cfg.ecc_cost_ns(raw.len()));
+        ecc::verify_page(raw)
     }
 
     fn check_page(&self, page: PageAddr) -> Result<()> {
@@ -912,5 +956,41 @@ mod tests {
         nand.read_into(PageAddr(0), 0, &mut buf).unwrap();
         assert_eq!(buf, [0x00, 0x04]);
         assert!(nand.corrupt_page(PageAddr(0), 64 * 8).is_err());
+    }
+
+    #[test]
+    fn frame_and_check_roundtrip_with_and_without_ecc() {
+        let nand = small();
+        assert!(nand.config().ecc_enabled);
+        assert_eq!(nand.payload_size(), 64 - ecc::TAIL_BYTES);
+        let mut page = b"payload".to_vec();
+        nand.frame(&mut page);
+        assert_eq!(page.len(), 64);
+        assert!(page[7..nand.payload_size()].iter().all(|&b| b == 0xFF));
+        nand.program(PageAddr(0), &page).unwrap();
+        let mut raw = vec![0u8; 64];
+        nand.read_into(PageAddr(0), 0, &mut raw).unwrap();
+        raw[2] ^= 0x10;
+        assert_eq!(nand.check(&mut raw), ecc::Verdict::Corrected);
+        assert_eq!(&raw[..7], b"payload");
+        // Re-framing a whole raw page (a move) keeps the payload and
+        // seals a fresh codeword.
+        nand.frame(&mut raw);
+        assert_eq!(raw, page);
+
+        let plain = Nand::new(
+            FlashConfig {
+                ecc_enabled: false,
+                ..nand.config().clone()
+            },
+            SimClock::new(),
+        );
+        assert_eq!(plain.payload_size(), 64);
+        let t0 = plain.clock().now();
+        let mut page = b"bare".to_vec();
+        plain.frame(&mut page);
+        assert_eq!(page, b"bare", "no padding, no codeword");
+        assert_eq!(plain.check(&mut page), ecc::Verdict::Clean);
+        assert_eq!(plain.clock().now().since(t0), 0, "no ECC cost charged");
     }
 }

@@ -36,6 +36,12 @@
 //! charged the same way — the tiny-RAM discipline applies even to
 //! reclamation.
 //!
+//! Every page goes through the part's page codec ([`Nand::frame`] on
+//! program, [`Nand::check`] on read), and every live-page move — GC
+//! migration, bad-block evacuation, scrub — through one relocate path
+//! that reads, checks, re-frames, programs on the cold frontier and
+//! remaps.
+//!
 //! # Page cache
 //!
 //! Page faults consult a shared, fixed-capacity **page-cache mirror**
@@ -53,7 +59,7 @@
 //! snapshot readers sharing the mirror stay coherent across GC
 //! migration, scrub rewrites, and bad-block evacuation.
 //!
-//! # Sealed images (durability)
+//! # Sealed images and snapshot pins
 //!
 //! The durability layer (`ghostdb-persist`) periodically **seals** the
 //! volume: it records the translation table ([`Volume::l2p_snapshot`])
@@ -64,17 +70,25 @@
 //! * sealed pages are never **migrated** — blocks holding one are
 //!   exempt from GC victim selection (the image stores *physical*
 //!   addresses; moving a page would strand them);
-//! * sealed pages are never **erased** — a [`Volume::free`] against one
-//!   is deferred, and only [`Volume::commit_seal`] (called once the
-//!   superseding image is durable) releases it.
+//! * sealed pages are never **erased** while the image holds them.
 //!
 //! That pair of rules is what makes a power cut anywhere inside a delta
 //! flush recoverable: the old image's pages are all still exactly where
-//! it says they are.
+//! it says they are. Open read snapshots **pin** the pages they can
+//! read ([`Volume::pin_pages`]); pinned pages may migrate but are
+//! never erased either.
+//!
+//! A page is *held* while it is sealed or pinned. A [`Volume::free`]
+//! of a held page only enters one ordered **deferred-free ledger**: the
+//! page stays mapped and readable, the next image no longer records it,
+//! and it is physically released — in ascending LPN order, so the
+//! recycled LPNs and the next image depend only on the workload — by
+//! [`Volume::commit_seal`] (the superseding image is durable) or the
+//! last [`Volume::unpin_pages`], whichever leaves it held by neither.
 //!
 //! [`FlashConfig::gc_low_watermark_blocks`]: ghostdb_types::FlashConfig::gc_low_watermark_blocks
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -205,29 +219,22 @@ struct AllocState {
     /// Cumulative GC counters.
     gc: GcStats,
     /// Per-LPN "referenced by the sealed on-flash image" flag (parallel
-    /// to `l2p`, short tails read as unsealed). Sealed pages may be
-    /// neither migrated (the image records their physical l2p mapping)
-    /// nor freed (the image still reads them) until the next seal.
+    /// to `l2p`, short tails read as unsealed). Sealed pages may not be
+    /// migrated (the image records their physical l2p mapping).
     sealed: Vec<bool>,
     /// Per-block count of sealed live pages — blocks holding any are
     /// exempt from GC victim selection.
     sealed_in_block: Vec<u32>,
-    /// Sealed LPNs whose `free` was deferred; physically released (and
-    /// their blocks made reclaimable) by [`Volume::commit_seal`] once
-    /// the superseding image is durable.
-    deferred_free: HashSet<u32>,
     /// Per-LPN snapshot pin counts: every open read snapshot pins the
     /// pages its base segments can read. A pinned page may still
-    /// *migrate* (the translation table keeps snapshot reads valid) but
-    /// is never physically released — a `free` against it parks in
-    /// `pin_deferred` until the last pin drops. This is the same
-    /// deferred-free discipline the sealed image uses, keyed by
-    /// refcount instead of seal generation.
+    /// *migrate* (the translation table keeps snapshot reads valid).
     pins: HashMap<u32, u32>,
-    /// Snapshot-pinned LPNs whose `free` was deferred; physically
-    /// released by [`Volume::unpin_pages`] when their pin count
-    /// reaches zero.
-    pin_deferred: HashSet<u32>,
+    /// The deferred-free ledger: LPNs freed while **held** — sealed or
+    /// pinned — so still mapped and readable but logically dead. Each
+    /// is physically released, in ascending LPN order, by whichever of
+    /// [`Volume::commit_seal`] and the last [`Volume::unpin_pages`]
+    /// leaves it held by neither.
+    held_free: BTreeSet<u32>,
     /// Per-block grown-bad retirement flags — the volume's bad-block
     /// table. Retired blocks are never allocated, never erased, never
     /// GC victims; their still-readable pages stay mapped until freed.
@@ -244,6 +251,32 @@ struct AllocState {
 }
 
 impl AllocState {
+    /// Accounting for an empty part of `blocks` erase blocks and
+    /// `pages` pages: nothing mapped, allocated, free, sealed or
+    /// retired yet. Both constructors of [`Volume`] start here.
+    fn new(blocks: usize, pages: usize) -> Self {
+        AllocState {
+            free_blocks: Vec::new(),
+            current: None,
+            gc_current: None,
+            live: vec![0; blocks],
+            allocated: vec![0; blocks],
+            l2p: Vec::new(),
+            free_lpns: Vec::new(),
+            p2l: vec![UNMAPPED; pages],
+            gc: GcStats::default(),
+            sealed: Vec::new(),
+            sealed_in_block: vec![0; blocks],
+            pins: HashMap::new(),
+            held_free: BTreeSet::new(),
+            bad: vec![false; blocks],
+            corrected_reads: vec![0; pages],
+            corrected_total: 0,
+            uncorrectable_total: 0,
+            scrubbed_pages: 0,
+        }
+    }
+
     fn is_frontier(&self, block: BlockId, ppb: usize) -> bool {
         let pins =
             |slot: Option<(BlockId, usize)>| matches!(slot, Some((b, n)) if b == block && n < ppb);
@@ -252,6 +285,10 @@ impl AllocState {
 
     fn is_sealed(&self, lpn: u32) -> bool {
         self.sealed.get(lpn as usize).copied().unwrap_or(false)
+    }
+
+    fn is_mapped(&self, lpn: u32) -> bool {
+        matches!(self.l2p.get(lpn as usize), Some(&p) if p != UNMAPPED)
     }
 
     /// A block the GC may reclaim: fully allocated (it will never be
@@ -550,15 +587,7 @@ impl PageCache {
     /// reprogrammed). Caller holds the volume state lock; the state →
     /// cache lock order is the only nesting the volume ever uses.
     fn invalidate(&self, phys: u32) {
-        if !self.enabled() {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("page cache poisoned");
-        if let Some(slot) = inner.map.remove(&phys) {
-            inner.slots[slot].phys = UNMAPPED;
-            inner.slots[slot].referenced = false;
-            inner.free.push(slot);
-        }
+        self.invalidate_range(phys as usize, 1);
     }
 
     /// Drop the mirror entries for a physical page range (the block
@@ -616,28 +645,14 @@ impl Volume {
             reserved < blocks,
             "reserved region ({reserved} blocks) swallows the whole part ({blocks} blocks)"
         );
+        let mut st = AllocState::new(blocks, pages);
+        st.free_blocks = (reserved as u32..blocks as u32).map(BlockId).collect();
+        Self::from_state(nand, st)
+    }
+
+    fn from_state(nand: Nand, st: AllocState) -> Self {
         Volume {
-            state: Arc::new(Mutex::new(AllocState {
-                free_blocks: (reserved as u32..blocks as u32).map(BlockId).collect(),
-                current: None,
-                gc_current: None,
-                live: vec![0; blocks],
-                allocated: vec![0; blocks],
-                l2p: Vec::new(),
-                free_lpns: Vec::new(),
-                p2l: vec![UNMAPPED; pages],
-                gc: GcStats::default(),
-                sealed: Vec::new(),
-                sealed_in_block: vec![0; blocks],
-                deferred_free: HashSet::new(),
-                pins: HashMap::new(),
-                pin_deferred: HashSet::new(),
-                bad: vec![false; blocks],
-                corrected_reads: vec![0; pages],
-                corrected_total: 0,
-                uncorrectable_total: 0,
-                scrubbed_pages: 0,
-            })),
+            state: Arc::new(Mutex::new(st)),
             nand,
             metrics: Arc::new(OnceLock::new()),
             cache: Arc::new(PageCache::disabled()),
@@ -668,7 +683,7 @@ impl Volume {
         let blocks = nand.block_count();
         let pages = nand.page_count();
         let ppb = nand.config().pages_per_block;
-        let mut bad = vec![false; blocks];
+        let mut st = AllocState::new(blocks, pages);
         for &b in bad_blocks {
             if b as usize >= blocks {
                 return Err(GhostError::corrupt(format!(
@@ -679,16 +694,12 @@ impl Volume {
             // durability layer's own remapping; the volume tracks only
             // its half of the part.
             if b as usize >= reserved {
-                bad[b as usize] = true;
+                st.bad[b as usize] = true;
             }
         }
-        let mut p2l = vec![UNMAPPED; pages];
-        let mut live = vec![0u32; blocks];
-        let mut sealed_in_block = vec![0u32; blocks];
-        let mut free_lpns = Vec::new();
         for (lpn, &phys) in l2p.iter().enumerate() {
             if phys == UNMAPPED {
-                free_lpns.push(lpn as u32);
+                st.free_lpns.push(lpn as u32);
                 continue;
             }
             let p = PageAddr(phys);
@@ -697,7 +708,7 @@ impl Volume {
                     "mounted l2p entry {lpn} points at invalid page {phys}"
                 )));
             }
-            if p2l[p.index()] != UNMAPPED {
+            if st.p2l[p.index()] != UNMAPPED {
                 return Err(GhostError::corrupt(format!(
                     "mounted l2p maps page {phys} twice"
                 )));
@@ -707,62 +718,30 @@ impl Volume {
                     "mounted l2p entry {lpn} points at erased page {phys}"
                 )));
             }
-            p2l[p.index()] = lpn as u32;
+            st.p2l[p.index()] = lpn as u32;
             let b = p.index() / ppb;
-            live[b] += 1;
-            sealed_in_block[b] += 1;
+            st.live[b] += 1;
+            st.sealed_in_block[b] += 1;
         }
-        let mut free_blocks = Vec::new();
-        let mut allocated = vec![0u32; blocks];
         for b in reserved..blocks {
-            if bad[b] {
-                // Retired: never allocatable, never erased; treated as
-                // fully allocated so accounting stays consistent.
-                allocated[b] = ppb as u32;
-                continue;
-            }
-            if live[b] > 0 {
-                allocated[b] = ppb as u32;
-                continue;
-            }
             let first = b * ppb;
-            let fully_erased = (first..first + ppb)
-                .all(|p| matches!(nand.page_state(PageAddr(p as u32)), Ok(PageState::Erased)));
-            if fully_erased {
-                free_blocks.push(BlockId(b as u32));
+            // Retired blocks are never allocatable nor erased, and
+            // blocks with mapped pages are never reused: both count as
+            // fully allocated. A block with no mapped page is free if
+            // fully erased, otherwise stale all-dead GC feedstock.
+            let fully_erased = || {
+                (first..first + ppb)
+                    .all(|p| matches!(nand.page_state(PageAddr(p as u32)), Ok(PageState::Erased)))
+            };
+            if !st.bad[b] && st.live[b] == 0 && fully_erased() {
+                st.free_blocks.push(BlockId(b as u32));
             } else {
-                // Stale programmed pages with no owner: all-dead, fully
-                // allocated, so the GC erases the block when picked.
-                allocated[b] = ppb as u32;
+                st.allocated[b] = ppb as u32;
             }
         }
-        let sealed = l2p.iter().map(|&p| p != UNMAPPED).collect();
-        Ok(Volume {
-            state: Arc::new(Mutex::new(AllocState {
-                free_blocks,
-                current: None,
-                gc_current: None,
-                live,
-                allocated,
-                l2p,
-                free_lpns,
-                p2l,
-                gc: GcStats::default(),
-                sealed,
-                sealed_in_block,
-                deferred_free: HashSet::new(),
-                pins: HashMap::new(),
-                pin_deferred: HashSet::new(),
-                bad,
-                corrected_reads: vec![0; pages],
-                corrected_total: 0,
-                uncorrectable_total: 0,
-                scrubbed_pages: 0,
-            })),
-            nand,
-            metrics: Arc::new(OnceLock::new()),
-            cache: Arc::new(PageCache::disabled()),
-        })
+        st.sealed = l2p.iter().map(|&p| p != UNMAPPED).collect();
+        st.l2p = l2p;
+        Ok(Self::from_state(nand, st))
     }
 
     /// Attach registry-backed instrumentation. A no-op if metrics are
@@ -803,19 +782,14 @@ impl Volume {
     }
 
     /// The translation table as the durability layer seals it:
-    /// `out[lpn]` = current physical page, with deferred-freed pages
-    /// already masked out (the image being written no longer references
-    /// them, even though they stay physically intact until
-    /// [`commit_seal`](Self::commit_seal) runs).
+    /// `out[lpn]` = current physical page, with the held-but-freed
+    /// pages already masked out (the image being written no longer
+    /// references them, even though they stay physically intact until
+    /// neither the old image nor a snapshot holds them).
     pub fn l2p_snapshot(&self) -> Vec<u32> {
         let st = self.state.lock().expect("volume poisoned");
         let mut out = st.l2p.clone();
-        for &lpn in &st.deferred_free {
-            out[lpn as usize] = UNMAPPED;
-        }
-        // Pin-deferred pages are equally dead to the image being
-        // sealed: only open snapshots may still read them.
-        for &lpn in &st.pin_deferred {
+        for &lpn in &st.held_free {
             out[lpn as usize] = UNMAPPED;
         }
         out
@@ -853,65 +827,41 @@ impl Volume {
         })
     }
 
-    /// Finish a seal: physically release every deferred free (the old
-    /// image's pages — the new image is durable, so they may finally
-    /// die), then pin the entire live set as the new sealed generation.
+    /// Finish a seal: the superseding image is durable, so the old one
+    /// holds nothing any more. Every freed page no snapshot pins is
+    /// physically released (ascending LPN order); then the live set,
+    /// minus the freed-but-pinned pages, becomes the new sealed
+    /// generation.
     pub fn commit_seal(&self) -> Result<()> {
-        let deferred: Vec<u32> = {
-            let mut st = self.state.lock().expect("volume poisoned");
-            let d: Vec<u32> = st.deferred_free.drain().collect();
-            // Unseal first so free_now treats them as ordinary pages.
-            for &lpn in &d {
-                if st.is_sealed(lpn) {
-                    let phys = st.l2p[lpn as usize];
-                    let b = (phys as usize) / self.nand.config().pages_per_block;
-                    st.sealed[lpn as usize] = false;
-                    st.sealed_in_block[b] -= 1;
-                }
-            }
-            // A page freed under both disciplines (sealed *and*
-            // snapshot-pinned) outlives the seal: hand it to the pin
-            // ledger, to die when the last snapshot drops.
-            let (still_pinned, free): (Vec<u32>, Vec<u32>) =
-                d.into_iter().partition(|lpn| st.pins.contains_key(lpn));
-            st.pin_deferred.extend(still_pinned);
-            free
-        };
-        for lpn in deferred {
-            self.free_now(Lpn(lpn))?;
-        }
-        let mut st = self.state.lock().expect("volume poisoned");
         let ppb = self.nand.config().pages_per_block;
-        // The new sealed generation is the live translation table minus
-        // the pin-deferred pages: those are logically dead (the image
-        // being committed no longer references them), merely kept
-        // readable for open snapshots.
-        let pin_deferred = std::mem::take(&mut st.pin_deferred);
-        st.sealed = st
-            .l2p
-            .iter()
-            .enumerate()
-            .map(|(lpn, &p)| p != UNMAPPED && !pin_deferred.contains(&(lpn as u32)))
-            .collect();
-        let mut per_block = vec![0u32; self.nand.block_count()];
-        for (lpn, &phys) in st.l2p.iter().enumerate() {
-            if phys != UNMAPPED && !pin_deferred.contains(&(lpn as u32)) {
-                per_block[(phys as usize) / ppb] += 1;
+        let mut st = self.state.lock().expect("volume poisoned");
+        let held: Vec<u32> = st.held_free.iter().copied().collect();
+        for &lpn in &held {
+            if st.is_sealed(lpn) {
+                let b = st.l2p[lpn as usize] as usize / ppb;
+                st.sealed[lpn as usize] = false;
+                st.sealed_in_block[b] -= 1;
             }
         }
-        st.sealed_in_block = per_block;
-        st.pin_deferred = pin_deferred;
+        let release: Vec<u32> = held
+            .into_iter()
+            .filter(|lpn| !st.pins.contains_key(lpn))
+            .collect();
+        for lpn in release {
+            st.held_free.remove(&lpn);
+            self.release(&mut st, lpn)?;
+        }
+        let st = &mut *st;
+        st.sealed = (0..st.l2p.len() as u32)
+            .map(|lpn| st.is_mapped(lpn) && !st.held_free.contains(&lpn))
+            .collect();
+        st.sealed_in_block = vec![0; self.nand.block_count()];
+        for (lpn, &phys) in st.l2p.iter().enumerate() {
+            if st.sealed[lpn] {
+                st.sealed_in_block[phys as usize / ppb] += 1;
+            }
+        }
         Ok(())
-    }
-
-    /// Live pages whose release is deferred until the next
-    /// [`commit_seal`](Self::commit_seal) (observability).
-    pub fn deferred_free_pages(&self) -> usize {
-        self.state
-            .lock()
-            .expect("volume poisoned")
-            .deferred_free
-            .len()
     }
 
     /// Pin a set of logical pages on behalf of an open read snapshot:
@@ -927,8 +877,7 @@ impl Volume {
     pub fn pin_pages(&self, lpns: &[u32]) -> Result<()> {
         let mut st = self.state.lock().expect("volume poisoned");
         for &lpn in lpns {
-            let mapped = matches!(st.l2p.get(lpn as usize), Some(&p) if p != UNMAPPED);
-            if !mapped || st.pin_deferred.contains(&lpn) {
+            if !st.is_mapped(lpn) || st.held_free.contains(&lpn) {
                 return Err(GhostError::flash(format!(
                     "snapshot pin of dead logical page {lpn}"
                 )));
@@ -941,44 +890,48 @@ impl Volume {
     }
 
     /// Drop one pin from each of `lpns` (the snapshot's drop path).
-    /// Pages whose last pin drops *and* whose free was deferred while
-    /// pinned are physically released here — the moment "no snapshot
-    /// can read this" becomes true.
+    /// Pages whose last pin drops, that were freed while held and that
+    /// the sealed image does not hold are physically released here
+    /// (ascending LPN order) — the moment "nothing can read this"
+    /// becomes true.
     pub fn unpin_pages(&self, lpns: &[u32]) -> Result<()> {
+        let mut st = self.state.lock().expect("volume poisoned");
         let mut release = Vec::new();
-        {
-            let mut st = self.state.lock().expect("volume poisoned");
-            for &lpn in lpns {
-                let Some(count) = st.pins.get_mut(&lpn) else {
-                    return Err(GhostError::flash(format!(
-                        "unpin of logical page {lpn} that holds no pin"
-                    )));
-                };
-                *count -= 1;
-                if *count == 0 {
-                    st.pins.remove(&lpn);
-                    if st.pin_deferred.remove(&lpn) {
-                        release.push(lpn);
-                    }
+        for &lpn in lpns {
+            let Some(count) = st.pins.get_mut(&lpn) else {
+                return Err(GhostError::flash(format!(
+                    "unpin of logical page {lpn} that holds no pin"
+                )));
+            };
+            *count -= 1;
+            if *count == 0 {
+                st.pins.remove(&lpn);
+                if !st.is_sealed(lpn) && st.held_free.remove(&lpn) {
+                    release.push(lpn);
                 }
             }
         }
+        release.sort_unstable();
         for lpn in release {
-            self.free_now(Lpn(lpn))?;
+            self.release(&mut st, lpn)?;
         }
         Ok(())
     }
 
-    /// Pin accounting for `device_report()`: distinct snapshot-pinned
-    /// pages, pinned pages whose free is deferred on the pins, and
-    /// pages pinned by the sealed on-flash image.
+    /// Pin accounting for `device_report()`, derived from the one
+    /// held-page ledger: distinct snapshot-pinned pages, pages the
+    /// sealed image references, and the freed-while-held pages split
+    /// by what holds them — the sealed image (released by the next
+    /// [`commit_seal`](Self::commit_seal)) or only snapshot pins
+    /// (released by the last unpin).
     pub fn pin_stats(&self) -> PinStats {
         let st = self.state.lock().expect("volume poisoned");
+        let sealed_deferred = st.held_free.iter().filter(|&&l| st.is_sealed(l)).count();
         PinStats {
             snapshot_pinned: st.pins.len(),
-            snapshot_deferred: st.pin_deferred.len(),
+            snapshot_deferred: st.held_free.len() - sealed_deferred,
             sealed_pinned: st.sealed.iter().filter(|&&s| s).count(),
-            sealed_deferred: st.deferred_free.len(),
+            sealed_deferred,
         }
     }
 
@@ -987,16 +940,12 @@ impl Volume {
         &self.nand
     }
 
-    /// **Usable** page payload: the raw page minus the out-of-band
-    /// codeword when ECC is enabled. Everything layered on the volume
-    /// (segment sizing, manifests, readers) works in this unit.
+    /// **Usable** page payload ([`Nand::payload_size`]): the raw page
+    /// minus the out-of-band codeword when ECC is enabled. Everything
+    /// layered on the volume (segment sizing, manifests, readers) works
+    /// in this unit.
     pub fn page_size(&self) -> usize {
-        let raw = self.nand.config().page_size;
-        if self.nand.config().ecc_enabled {
-            raw - ecc::TAIL_BYTES
-        } else {
-            raw
-        }
+        self.nand.payload_size()
     }
 
     /// Raw (physical) page size — the unit programs and page faults
@@ -1028,21 +977,25 @@ impl Volume {
         }
     }
 
-    /// ECC bookkeeping for a raw page already read into `raw`: verify,
-    /// repair a single-bit error in place, update counters. The caller
-    /// holds the state lock.
-    fn verify_raw(&self, st: &mut AllocState, phys: PageAddr, raw: &mut [u8]) -> Result<()> {
-        if !self.nand.config().ecc_enabled {
-            return Ok(());
-        }
-        self.nand
-            .clock()
-            .advance(self.nand.config().ecc_cost_ns(raw.len()));
-        match ecc::verify_page(raw) {
+    /// ECC bookkeeping for one checked read of physical page `phys`:
+    /// count a repaired error (and, while the page is still mapped, its
+    /// per-page scrub trigger), or fail on a page past the correction
+    /// budget. The caller holds the state lock.
+    fn record_verdict(
+        &self,
+        st: &mut AllocState,
+        phys: PageAddr,
+        verdict: ecc::Verdict,
+    ) -> Result<()> {
+        match verdict {
             ecc::Verdict::Clean => Ok(()),
             ecc::Verdict::Corrected => {
                 st.corrected_total += 1;
-                st.corrected_reads[phys.index()] += 1;
+                // A faulted page may have migrated since the transfer;
+                // the per-page scrub counter only tracks mapped cells.
+                if st.p2l[phys.index()] != UNMAPPED {
+                    st.corrected_reads[phys.index()] += 1;
+                }
                 if let Some(m) = self.metrics.get() {
                     m.ecc_corrected.inc();
                 }
@@ -1106,8 +1059,17 @@ impl Volume {
                     continue; // migrated mid-transfer: retry at the new address
                 }
             }
-            let clean = self.verify_faulted(phys, raw)?;
-            if clean {
+            // The codeword check (the CPU-heavy part of a read) runs
+            // unlocked so concurrent readers never serialize on it.
+            let verdict = self.nand.check(raw);
+            if verdict != ecc::Verdict::Clean {
+                let mut st = self.state.lock().expect("volume poisoned");
+                self.record_verdict(&mut st, phys, verdict)?;
+            }
+            // Only a clean codeword is mirrored: a corrected page must
+            // keep re-correcting on every fault so its per-page counter
+            // can reach the scrub threshold.
+            if verdict == ecc::Verdict::Clean {
                 // Mirror the verified image — under the state lock and
                 // only while the mapping still holds, so the insert
                 // cannot race an erase/program of the same physical
@@ -1129,49 +1091,6 @@ impl Volume {
                 }
             }
             return Ok(());
-        }
-    }
-
-    /// ECC bookkeeping for a raw page faulted *outside* the state
-    /// lock: the codeword check (the CPU-heavy part of a read) runs
-    /// unlocked so concurrent readers never serialize on it; only the
-    /// counter updates take the lock. Returns `true` when the codeword
-    /// was clean (or ECC is off) — the condition for mirroring the
-    /// page; a corrected page must keep re-correcting on every fault
-    /// so its per-page counter can reach the scrub threshold.
-    fn verify_faulted(&self, phys: PageAddr, raw: &mut [u8]) -> Result<bool> {
-        if !self.nand.config().ecc_enabled {
-            return Ok(true);
-        }
-        self.nand
-            .clock()
-            .advance(self.nand.config().ecc_cost_ns(raw.len()));
-        match ecc::verify_page(raw) {
-            ecc::Verdict::Clean => Ok(true),
-            ecc::Verdict::Corrected => {
-                let mut st = self.state.lock().expect("volume poisoned");
-                st.corrected_total += 1;
-                // The page may have migrated since the transfer; the
-                // per-page scrub counter only tracks still-mapped cells.
-                if st.p2l[phys.index()] != UNMAPPED {
-                    st.corrected_reads[phys.index()] += 1;
-                }
-                if let Some(m) = self.metrics.get() {
-                    m.ecc_corrected.inc();
-                }
-                Ok(false)
-            }
-            ecc::Verdict::Uncorrectable => {
-                let mut st = self.state.lock().expect("volume poisoned");
-                st.uncorrectable_total += 1;
-                if let Some(m) = self.metrics.get() {
-                    m.ecc_uncorrectable.inc();
-                }
-                Err(GhostError::corrupt(format!(
-                    "uncorrectable bit errors in flash page {} (past the single-bit ECC budget)",
-                    phys.0
-                )))
-            }
         }
     }
 
@@ -1225,26 +1144,7 @@ impl Volume {
         Lpn(lpn)
     }
 
-    /// Build the raw page image for a payload of at most the usable
-    /// page size: the payload, erased-pattern padding, and the sealed
-    /// codeword when ECC is enabled (charging the encode cost).
-    fn seal_raw(&self, data: &[u8]) -> Vec<u8> {
-        if !self.nand.config().ecc_enabled {
-            return data.to_vec();
-        }
-        debug_assert!(data.len() <= self.page_size());
-        let mut raw = Vec::with_capacity(self.raw_page_size());
-        raw.extend_from_slice(data);
-        raw.resize(self.page_size(), 0xFF);
-        raw.resize(self.raw_page_size(), 0);
-        ecc::seal_page(&mut raw);
-        self.nand
-            .clock()
-            .advance(self.nand.config().ecc_cost_ns(raw.len()));
-        raw
-    }
-
-    /// Allocate a frontier page and program the sealed `raw` image into
+    /// Allocate a frontier page and program the framed `raw` image into
     /// it, retiring grown-bad blocks as they are discovered: a program
     /// failure marks the in-flight page dead, retires the block
     /// (re-targeting via the l2p table and evacuating its other live
@@ -1312,62 +1212,65 @@ impl Volume {
     /// migration without the erase. The copy transits the part's page
     /// register (copy-back), so no query RAM scope is charged.
     fn evacuate_block(&self, st: &mut AllocState, block: BlockId) -> Result<()> {
-        let ppb = self.nand.config().pages_per_block;
-        let first = block.index() * ppb;
         let mut buf = vec![0u8; self.raw_page_size()];
-        for slot in 0..ppb {
-            let lpn = st.p2l[first + slot];
-            if lpn == UNMAPPED || st.is_sealed(lpn) {
-                continue;
+        for src in self.pages_of(block) {
+            let lpn = st.p2l[src.index()];
+            if lpn != UNMAPPED && !st.is_sealed(lpn) {
+                self.relocate(st, src, &mut buf)?;
             }
-            let src = PageAddr((first + slot) as u32);
-            self.nand.read_into(src, 0, &mut buf)?;
-            self.verify_raw(st, src, &mut buf)?;
-            self.reseal_raw(&mut buf);
-            let dest = self.program_raw(st, true, &buf)?;
-            st.l2p[lpn as usize] = dest.0;
-            st.p2l[dest.index()] = lpn;
-            st.p2l[first + slot] = UNMAPPED;
-            st.live[block.index()] -= 1;
         }
         Ok(())
     }
 
-    /// Erase a fully-dead block and publish it to the free list. An
-    /// erase failure grows the block bad: it is retired (swallowing the
-    /// error — the data was dead anyway) instead of recycled.
-    fn recycle_block(&self, st: &mut AllocState, block: BlockId) -> Result<()> {
+    /// The physical pages of `block`, in order.
+    fn pages_of(&self, block: BlockId) -> impl Iterator<Item = PageAddr> {
+        let ppb = self.nand.config().pages_per_block as u32;
+        (block.0 * ppb..(block.0 + 1) * ppb).map(PageAddr)
+    }
+
+    /// Move the live page at `src` to the cold frontier: read it, check
+    /// its codeword (repairing single-bit rot), re-frame it with a fresh
+    /// codeword so tolerated rot is not copied, program it and remap its
+    /// LPN. The one page-move path of GC migration, bad-block evacuation
+    /// and scrub. Caller holds the state lock; `buf` is one raw page.
+    fn relocate(&self, st: &mut AllocState, src: PageAddr, buf: &mut Vec<u8>) -> Result<()> {
+        let lpn = st.p2l[src.index()];
+        self.nand.read_into(src, 0, buf)?;
+        let verdict = self.nand.check(buf);
+        self.record_verdict(st, src, verdict)?;
+        self.nand.frame(buf);
+        let dest = self.program_raw(st, true, buf)?;
+        st.l2p[lpn as usize] = dest.0;
+        st.p2l[dest.index()] = lpn;
+        st.p2l[src.index()] = UNMAPPED;
+        st.corrected_reads[src.index()] = 0;
+        st.live[self.nand.block_of(src).index()] -= 1;
+        Ok(())
+    }
+
+    /// Erase a fully-dead block and publish it to the free list; `true`
+    /// when it was recycled. An erase failure grows the block bad: it
+    /// is retired instead (swallowing the error — the data was dead
+    /// anyway) and `false` returned. Serves both release and GC.
+    fn recycle_block(&self, st: &mut AllocState, block: BlockId) -> Result<bool> {
         // Erase before publishing to the free list, so a block is
         // never allocatable while still holding stale data.
         match self.nand.erase(block) {
             Ok(()) => {
-                st.allocated[block.index()] = 0;
-                let first = block.index() * self.nand.config().pages_per_block;
                 let ppb = self.nand.config().pages_per_block;
+                let first = block.index() * ppb;
+                st.allocated[block.index()] = 0;
                 st.corrected_reads[first..first + ppb].fill(0);
                 self.cache.invalidate_range(first, ppb);
                 st.free_blocks.push(block);
-                Ok(())
+                Ok(true)
             }
-            Err(e) if self.nand.is_grown_bad(block) => {
-                let _ = e;
-                self.retire_block(st, block)
+            Err(_) if self.nand.is_grown_bad(block) => {
+                self.retire_block(st, block)?;
+                Ok(false)
             }
             Err(e) => Err(e),
         }
-    }
-
-    /// Regenerate the codeword of a raw page about to be re-programmed
-    /// (migration, evacuation, scrub), so a rotted-but-tolerated tail is
-    /// not propagated to the new copy.
-    fn reseal_raw(&self, buf: &mut [u8]) {
-        if !self.nand.config().ecc_enabled {
-            return;
-        }
-        ecc::seal_page(buf);
-        self.nand
-            .clock()
-            .advance(self.nand.config().ecc_cost_ns(buf.len()));
     }
 
     /// Allocate one page on the user frontier and program `data` into it
@@ -1387,7 +1290,8 @@ impl Volume {
         // allocation below use whatever free blocks remain; only if that
         // also fails is the GC failure the better diagnosis.
         let gc_err = if needs_gc { self.gc(scope).err() } else { None };
-        let raw = self.seal_raw(data);
+        let mut raw = data.to_vec();
+        self.nand.frame(&mut raw);
         let mut st = self.state.lock().expect("volume poisoned");
         match self.program_raw(&mut st, false, &raw) {
             Ok(phys) => Ok(self.map_lpn(&mut st, phys)),
@@ -1415,90 +1319,61 @@ impl Volume {
         }
     }
 
-    /// Release one logical page. Pages referenced by the sealed on-flash
-    /// image are **deferred**: they stay physically intact (the sealed
-    /// l2p still points at them) and are released by
-    /// [`commit_seal`](Self::commit_seal) once a superseding image is
-    /// durable — the mechanism that keeps a crash mid-flush mountable
-    /// from the previous image.
+    /// Release one logical page. A page still **held** — referenced by
+    /// the sealed on-flash image or pinned by an open snapshot — only
+    /// joins the deferred-free ledger: it stays mapped and physically
+    /// intact (the sealed l2p or the snapshot still reads it) until
+    /// [`commit_seal`](Self::commit_seal) or the last
+    /// [`unpin_pages`](Self::unpin_pages) lets it go. That is what
+    /// keeps a crash mid-flush mountable from the previous image.
     fn free_page(&self, lpn: Lpn) -> Result<()> {
-        {
-            let mut st = self.state.lock().expect("volume poisoned");
-            if st.is_sealed(lpn.0) {
-                match st.l2p.get(lpn.0 as usize) {
-                    Some(&p) if p != UNMAPPED => {}
-                    _ => {
-                        return Err(GhostError::flash(format!(
-                            "double free of logical page {}",
-                            lpn.0
-                        )))
-                    }
-                }
-                if !st.deferred_free.insert(lpn.0) {
-                    return Err(GhostError::flash(format!(
-                        "double free of (sealed) logical page {}",
-                        lpn.0
-                    )));
-                }
-                return Ok(());
-            }
-            // Snapshot-pinned pages defer exactly like sealed ones,
-            // except the release trigger is the last unpin rather than
-            // the next commit_seal.
-            if st.pins.contains_key(&lpn.0) {
-                match st.l2p.get(lpn.0 as usize) {
-                    Some(&p) if p != UNMAPPED => {}
-                    _ => {
-                        return Err(GhostError::flash(format!(
-                            "double free of logical page {}",
-                            lpn.0
-                        )))
-                    }
-                }
-                if !st.pin_deferred.insert(lpn.0) {
-                    return Err(GhostError::flash(format!(
-                        "double free of (snapshot-pinned) logical page {}",
-                        lpn.0
-                    )));
-                }
-                return Ok(());
-            }
+        let mut st = self.state.lock().expect("volume poisoned");
+        let sealed = st.is_sealed(lpn.0);
+        if !sealed && !st.pins.contains_key(&lpn.0) {
+            return self.release(&mut st, lpn.0);
         }
-        self.free_now(lpn)
+        if !st.is_mapped(lpn.0) {
+            return Err(GhostError::flash(format!(
+                "double free of logical page {}",
+                lpn.0
+            )));
+        }
+        if !st.held_free.insert(lpn.0) {
+            let holder = if sealed { "sealed" } else { "snapshot-pinned" };
+            return Err(GhostError::flash(format!(
+                "double free of ({holder}) logical page {}",
+                lpn.0
+            )));
+        }
+        Ok(())
     }
 
     /// The physical release path: unmap, recycle the LPN, and erase the
-    /// block once it is fully allocated and fully dead.
-    fn free_now(&self, lpn: Lpn) -> Result<()> {
+    /// block once it is fully allocated and fully dead. Caller holds
+    /// the state lock.
+    fn release(&self, st: &mut AllocState, lpn: u32) -> Result<()> {
         let ppb = self.nand.config().pages_per_block;
-        {
-            let mut st = self.state.lock().expect("volume poisoned");
-            let phys = match st.l2p.get(lpn.0 as usize) {
-                Some(&p) if p != UNMAPPED => PageAddr(p),
-                _ => {
-                    return Err(GhostError::flash(format!(
-                        "double free of logical page {}",
-                        lpn.0
-                    )))
-                }
-            };
-            let block = self.nand.block_of(phys);
-            st.l2p[lpn.0 as usize] = UNMAPPED;
-            st.free_lpns.push(lpn.0);
-            st.p2l[phys.index()] = UNMAPPED;
-            st.live[block.index()] -= 1;
-            let fully_allocated = st.allocated[block.index()] as usize == ppb;
-            // A full block will never be written again, so it is safe to
-            // recycle; only a block still accepting allocations (either
-            // frontier) is pinned. Retired blocks are never erased —
-            // their dead pages are simply lost capacity.
-            let erase = st.live[block.index()] == 0
-                && fully_allocated
-                && !st.bad[block.index()]
-                && !st.is_frontier(block, ppb);
-            if erase {
-                self.recycle_block(&mut st, block)?;
-            }
+        if !st.is_mapped(lpn) {
+            return Err(GhostError::flash(format!(
+                "double free of logical page {lpn}"
+            )));
+        }
+        let phys = PageAddr(st.l2p[lpn as usize]);
+        let block = self.nand.block_of(phys);
+        st.l2p[lpn as usize] = UNMAPPED;
+        st.free_lpns.push(lpn);
+        st.p2l[phys.index()] = UNMAPPED;
+        st.live[block.index()] -= 1;
+        // A full block will never be written again, so it is safe to
+        // recycle; only a block still accepting allocations (either
+        // frontier) is pinned. Retired blocks are never erased — their
+        // dead pages are simply lost capacity.
+        let erase = st.live[block.index()] == 0
+            && st.allocated[block.index()] as usize == ppb
+            && !st.bad[block.index()]
+            && !st.is_frontier(block, ppb);
+        if erase {
+            self.recycle_block(st, block)?;
         }
         Ok(())
     }
@@ -1543,59 +1418,37 @@ impl Volume {
     }
 
     /// Migrate `victim`'s live pages to the cold frontier, then erase and
-    /// recycle it. Every page read is ECC-verified (and repaired) before
-    /// the copy, and the codeword is regenerated for the new location —
-    /// migration doubles as error scrubbing. Caller holds the state lock;
-    /// `buf` is one raw page.
+    /// recycle it. Every move verifies (and repairs) the page and seals
+    /// a fresh codeword for the new location — migration doubles as
+    /// error scrubbing. Caller holds the state lock; `buf` is one raw
+    /// page.
     fn migrate_block(
         &self,
         st: &mut AllocState,
         victim: BlockId,
-        buf: &mut [u8],
+        buf: &mut Vec<u8>,
         report: &mut GcStats,
     ) -> Result<()> {
-        let ppb = self.nand.config().pages_per_block;
-        let first = victim.index() * ppb;
         let dead = (st.allocated[victim.index()] - st.live[victim.index()]) as u64;
-        for slot in 0..ppb {
-            let lpn = st.p2l[first + slot];
-            if lpn == UNMAPPED {
+        for src in self.pages_of(victim) {
+            if st.p2l[src.index()] == UNMAPPED {
                 continue;
             }
-            let src = PageAddr((first + slot) as u32);
-            self.nand.read_into(src, 0, buf)?;
-            self.verify_raw(st, src, buf)?;
-            self.reseal_raw(buf);
-            let dest = self.program_raw(st, true, buf)?;
-            st.l2p[lpn as usize] = dest.0;
-            st.p2l[dest.index()] = lpn;
-            st.p2l[first + slot] = UNMAPPED;
-            st.live[victim.index()] -= 1;
+            self.relocate(st, src, buf)?;
             // Counters update as work happens, so an error later in the
             // pass cannot lose what this block already cost/recovered.
             report.pages_migrated += 1;
             st.gc.pages_migrated += 1;
         }
         debug_assert_eq!(st.live[victim.index()], 0, "victim fully migrated");
-        match self.nand.erase(victim) {
-            Ok(()) => {
-                st.allocated[victim.index()] = 0;
-                st.corrected_reads[first..first + ppb].fill(0);
-                self.cache.invalidate_range(first, ppb);
-                st.free_blocks.push(victim);
-                report.blocks_reclaimed += 1;
-                report.pages_reclaimed += dead;
-                st.gc.blocks_reclaimed += 1;
-                st.gc.pages_reclaimed += dead;
-                Ok(())
-            }
-            Err(e) if self.nand.is_grown_bad(victim) => {
-                // The copies are safe; the victim just can't be recycled.
-                let _ = e;
-                self.retire_block(st, victim)
-            }
-            Err(e) => Err(e),
+        // A victim that fails to erase is retired; the copies are safe.
+        if self.recycle_block(st, victim)? {
+            report.blocks_reclaimed += 1;
+            report.pages_reclaimed += dead;
+            st.gc.blocks_reclaimed += 1;
+            st.gc.pages_reclaimed += dead;
         }
+        Ok(())
     }
 
     /// Run one garbage-collection pass: up to [`GC_MAX_VICTIMS_PER_PASS`]
@@ -1663,7 +1516,7 @@ impl Volume {
     /// Sealed pages cannot move (the image pins them) and are skipped
     /// until the next seal. Caller holds the state lock; `buf` is one
     /// raw page.
-    fn scrub_locked(&self, st: &mut AllocState, buf: &mut [u8]) -> Result<ScrubReport> {
+    fn scrub_locked(&self, st: &mut AllocState, buf: &mut Vec<u8>) -> Result<ScrubReport> {
         let mut report = ScrubReport::default();
         if !self.nand.config().ecc_enabled {
             return Ok(report);
@@ -1682,17 +1535,7 @@ impl Volume {
                 report.pages_skipped_sealed += 1;
                 continue;
             }
-            let src = PageAddr(idx as u32);
-            self.nand.read_into(src, 0, buf)?;
-            self.verify_raw(st, src, buf)?;
-            self.reseal_raw(buf);
-            let dest = self.program_raw(st, true, buf)?;
-            let block = self.nand.block_of(src);
-            st.l2p[lpn as usize] = dest.0;
-            st.p2l[dest.index()] = lpn;
-            st.p2l[idx] = UNMAPPED;
-            st.live[block.index()] -= 1;
-            st.corrected_reads[idx] = 0;
+            self.relocate(st, PageAddr(idx as u32), buf)?;
             st.scrubbed_pages += 1;
             report.pages_rewritten += 1;
         }
@@ -2308,7 +2151,7 @@ mod tests {
         // Seal the current state: every live page is pinned.
         vol.commit_seal().unwrap();
         vol.free(junk.clone()).unwrap();
-        assert_eq!(vol.deferred_free_pages(), 12, "sealed frees defer");
+        assert_eq!(vol.pin_stats().sealed_deferred, 12, "sealed frees defer");
         // Double free of a deferred segment is still caught.
         let err = vol.free(junk).unwrap_err();
         assert!(err.to_string().contains("double free"), "{err}");
@@ -2324,7 +2167,7 @@ mod tests {
         // ...and committing the seal releases them for real: the GC can
         // now compact the fragmented blocks.
         vol.commit_seal().unwrap();
-        assert_eq!(vol.deferred_free_pages(), 0);
+        assert_eq!(vol.pin_stats().sealed_deferred, 0);
         // Fresh (post-commit) state has the keeper sealed again; its
         // blocks are exempt, but all-dead blocks reclaim fine.
         let mut r = vol.reader(&scope, &keeper).unwrap();
@@ -2387,12 +2230,12 @@ mod tests {
         vol.commit_seal().unwrap();
         vol.pin_pages(&lpns).unwrap();
         vol.free(junk.clone()).unwrap();
-        assert_eq!(vol.deferred_free_pages(), 12);
+        assert_eq!(vol.pin_stats().sealed_deferred, 12);
         assert_eq!(vol.pin_stats().snapshot_deferred, 0);
         // Committing the superseding seal hands the still-pinned pages
         // to the pin ledger instead of erasing under the snapshot.
         vol.commit_seal().unwrap();
-        assert_eq!(vol.deferred_free_pages(), 0);
+        assert_eq!(vol.pin_stats().sealed_deferred, 0);
         let pins = vol.pin_stats();
         assert_eq!(pins.snapshot_deferred, 12);
         assert_eq!(

@@ -1,8 +1,8 @@
 //! The sealed device image: superblock header + Wire-encoded metadata
 //! body, ping-ponged between the two reserved slots.
 //!
-//! Reliability: every metadata page carries the same out-of-band
-//! codeword the volume uses ([`ghostdb_flash::ecc`]), so a single
+//! Reliability: every metadata page is framed by the same page codec
+//! the volume uses ([`Nand::frame`] / [`Nand::check`]), so a single
 //! flipped bit anywhere in a slot is repaired on read; anything worse
 //! makes the slot parse as invalid and the mount falls back to the
 //! older epoch. Slot blocks that grow bad are dropped from the slot —
@@ -11,12 +11,11 @@
 //! key.
 
 use ghostdb_catalog::{Schema, SchemaStats};
-use ghostdb_flash::{ecc, BlockId, Nand, PageAddr, PageState};
+use ghostdb_flash::ecc::{self, crc32};
+use ghostdb_flash::{BlockId, Nand, PageAddr, PageState};
 use ghostdb_index::IndexSetManifest;
 use ghostdb_storage::{HiddenManifest, VisibleStore};
 use ghostdb_types::{decode_all, GhostError, LiveSet, Result, Wire};
-
-use crate::crc::crc32;
 
 /// Superblock magic ("GHSB").
 const MAGIC: u32 = 0x4748_5342;
@@ -105,46 +104,16 @@ impl DeviceImage {
     }
 }
 
-/// Usable payload bytes per metadata page (the codeword tail is
-/// reserved when ECC is on).
-fn page_payload(nand: &Nand) -> usize {
-    let cfg = nand.config();
-    if cfg.ecc_enabled {
-        cfg.page_size - ecc::TAIL_BYTES
-    } else {
-        cfg.page_size
-    }
-}
-
-/// Program `payload` into `addr`, sealing the codeword tail on.
-fn program_meta_page(nand: &Nand, addr: PageAddr, payload: &[u8]) -> Result<()> {
-    let cfg = nand.config();
-    if !cfg.ecc_enabled {
-        return nand.program(addr, payload);
-    }
-    let mut raw = Vec::with_capacity(cfg.page_size);
-    raw.extend_from_slice(payload);
-    raw.resize(cfg.page_size - ecc::TAIL_BYTES, 0xFF);
-    raw.resize(cfg.page_size, 0);
-    ecc::seal_page(&mut raw);
-    nand.clock().advance(cfg.ecc_cost_ns(cfg.page_size));
-    nand.program(addr, &raw)
-}
-
-/// Read a full page through the codeword check: single-bit rot is
+/// Read a full page through the page codec: single-bit rot is
 /// repaired, worse returns `Ok(None)` (the caller treats the page as
 /// invalid and falls back to the older slot).
 fn read_meta_page(nand: &Nand, addr: PageAddr) -> Result<Option<Vec<u8>>> {
-    let cfg = nand.config();
-    let mut raw = vec![0u8; cfg.page_size];
+    let mut raw = vec![0u8; nand.config().page_size];
     nand.read_into(addr, 0, &mut raw)?;
-    if cfg.ecc_enabled {
-        nand.clock().advance(cfg.ecc_cost_ns(cfg.page_size));
-        if ecc::verify_page(&mut raw) == ecc::Verdict::Uncorrectable {
-            return Ok(None);
-        }
-        raw.truncate(cfg.page_size - ecc::TAIL_BYTES);
+    if nand.check(&mut raw) == ecc::Verdict::Uncorrectable {
+        return Ok(None);
     }
+    raw.truncate(nand.payload_size());
     Ok(Some(raw))
 }
 
@@ -208,7 +177,7 @@ pub fn write_image(nand: &Nand, epoch: u64, image: &DeviceImage) -> Result<u64> 
             "FlashConfig::meta_slot_blocks exceeds the 32-block slot map",
         ));
     }
-    let per_page = page_payload(nand);
+    let per_page = nand.payload_size();
     if HEADER_BYTES > per_page {
         return Err(GhostError::flash(
             "metadata page payload too small for the superblock header",
@@ -256,7 +225,9 @@ pub fn write_image(nand: &Nand, epoch: u64, image: &DeviceImage) -> Result<u64> 
             .chain(body.chunks(per_page))
             .enumerate()
         {
-            match program_meta_page(nand, pages[i], chunk) {
+            let mut page = chunk.to_vec();
+            nand.frame(&mut page);
+            match nand.program(pages[i], &page) {
                 Ok(()) => {}
                 Err(_) if nand.is_grown_bad(nand.block_of(pages[i])) => {
                     grew_bad = true;
@@ -285,7 +256,7 @@ pub fn write_image(nand: &Nand, epoch: u64, image: &DeviceImage) -> Result<u64> 
 fn read_slot(nand: &Nand, slot: usize) -> Result<Option<(u64, Vec<u8>)>> {
     let cfg = nand.config().clone();
     let slots = cfg.meta_slot_blocks;
-    let per_page = page_payload(nand);
+    let per_page = nand.payload_size();
     let first_block = slot * slots;
     // (epoch, body_len, body_crc, block_map)
     let mut candidates: Vec<(u64, usize, u32, u32)> = Vec::new();

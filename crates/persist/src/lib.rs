@@ -31,10 +31,11 @@
 //!
 //! # Crash-consistency invariants
 //!
-//! 1. **A sealed image is immutable until superseded.** The volume pins
-//!    every page the image references: the GC will not migrate them
-//!    (their physical addresses are recorded in the sealed l2p) and
-//!    frees against them are deferred until
+//! 1. **A sealed image is immutable until superseded.** Every page the
+//!    image references is *held* by the volume: the GC will not migrate
+//!    it (its physical address is recorded in the sealed l2p), and a
+//!    free against it only enters the volume's one deferred-free
+//!    ledger (shared with snapshot pins) until
 //!    [`Volume::commit_seal`](ghostdb_flash::Volume::commit_seal) runs —
 //!    which the facade only calls after the *next* image is durable.
 //! 2. **Post-seal inserts are WAL-only.** Their deltas live in RAM plus
@@ -48,6 +49,15 @@
 //!    before the new superblock completes mounts the old image + full
 //!    WAL; after, the new image.
 //!
+//! # Page format
+//!
+//! This crate frames no page itself: image and WAL pages go through the
+//! part's page codec ([`Nand::frame`](ghostdb_flash::Nand::frame) /
+//! [`Nand::check`](ghostdb_flash::Nand::check), usable size
+//! [`Nand::payload_size`](ghostdb_flash::Nand::payload_size)), exactly
+//! like the volume's, and every CRC here is
+//! [`ghostdb_flash::ecc::crc32`] (CRC-32/IEEE).
+//!
 //! Like the secure bulk load, seal and mount are maintenance operations
 //! performed on the device outside query processing; their working
 //! memory is host-side in this simulation and nothing they touch ever
@@ -56,11 +66,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod crc;
 mod image;
 mod wal;
 
-pub use crc::crc32;
 pub use image::{read_latest_image, write_image, DeviceImage, LoadedImage, IMAGE_VERSION};
 pub use wal::{Wal, WalOpen};
 

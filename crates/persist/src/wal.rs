@@ -24,17 +24,16 @@
 //! the middle of the log ends replay at the last good record (the
 //! sequence gap proves later records depend on lost state).
 //!
-//! Reliability: when ECC is enabled each WAL page also carries the
-//! volume's out-of-band codeword ([`ghostdb_flash::ecc`]), repairing
-//! single-bit rot on replay; worse rot makes the page parse as torn.
+//! Reliability: each WAL page is framed by the volume's page codec
+//! ([`Nand::frame`] / [`Nand::check`]); with ECC enabled that repairs
+//! single-bit rot on replay, and worse rot makes the page parse as torn.
 //! WAL blocks that grow bad during an append are skipped — the record
 //! retries past the bad block, and replay resyncs over the partial
 //! pages the failed attempt left behind.
 
-use ghostdb_flash::{ecc, BlockId, Nand, PageAddr, PageState};
+use ghostdb_flash::ecc::{self, crc32};
+use ghostdb_flash::{BlockId, Nand, PageAddr, PageState};
 use ghostdb_types::{GhostError, Result};
-
-use crate::crc::crc32;
 
 /// WAL page magic ("GWAL").
 const MAGIC: u32 = 0x4757_414C;
@@ -83,12 +82,10 @@ impl Wal {
         PageAddr((self.first_block * self.nand.config().pages_per_block + idx) as u32)
     }
 
-    /// Payload bytes per WAL page (codeword tail reserved when ECC is
-    /// on).
+    /// Record bytes per WAL page: the page codec's payload minus the
+    /// WAL page header.
     fn per_page(&self) -> usize {
-        let cfg = self.nand.config();
-        let tail = if cfg.ecc_enabled { ecc::TAIL_BYTES } else { 0 };
-        cfg.page_size - PAGE_HEADER - tail
+        self.nand.payload_size() - PAGE_HEADER
     }
 
     /// A fresh cursor at the head of the region (used right after a
@@ -117,8 +114,7 @@ impl Wal {
     /// [`WalOpen::truncated`].
     pub fn open(nand: Nand, epoch: u64) -> Result<WalOpen> {
         let mut wal = Wal::new(nand, epoch);
-        let cfg = wal.nand.config().clone();
-        let ps = cfg.page_size;
+        let ps = wal.nand.config().page_size;
         let mut records: Vec<Vec<u8>> = Vec::new();
         let mut pending: Vec<u8> = Vec::new();
         let mut in_record = false;
@@ -136,20 +132,14 @@ impl Wal {
             }
             let mut page = vec![0u8; ps];
             wal.nand.read_into(addr, 0, &mut page)?;
-            let usable = if cfg.ecc_enabled {
-                wal.nand.clock().advance(cfg.ecc_cost_ns(ps));
-                if ecc::verify_page(&mut page) == ecc::Verdict::Uncorrectable {
-                    // Rotted past the budget: treat as torn.
-                    in_record = false;
-                    pending.clear();
-                    continue;
-                }
-                &page[..ps - ecc::TAIL_BYTES]
-            } else {
-                &page[..]
+            // A page rotted past the ECC budget reads as torn.
+            let parsed = match wal.nand.check(&mut page) {
+                ecc::Verdict::Uncorrectable => None,
+                _ => parse_page(&page[..wal.nand.payload_size()], epoch, idx as u32),
             };
-            let Some((start, payload)) = parse_page(usable, epoch, idx as u32) else {
-                // Torn or stale page: any record running through it died.
+            let Some((start, payload)) = parsed else {
+                // Torn, rotted or stale page: any record running through
+                // it died.
                 in_record = false;
                 pending.clear();
                 continue;
@@ -239,30 +229,12 @@ impl Wal {
                 let skip_block = |wal: &mut Wal| {
                     wal.next_page = (rel_block + 1) * cfg.pages_per_block;
                 };
-                if self.nand.is_grown_bad(block) {
+                // Entering a block: erase it if a stale page lingers
+                // from before an interrupted truncation.
+                let entering = idx.is_multiple_of(cfg.pages_per_block);
+                if self.nand.is_grown_bad(block) || (entering && !self.erase_if_dirty(block)?) {
                     skip_block(self);
                     continue 'attempt;
-                }
-                if idx.is_multiple_of(cfg.pages_per_block) {
-                    // Entering a block: erase it if a stale page lingers
-                    // from before an interrupted truncation.
-                    let first = (self.first_block + rel_block) * cfg.pages_per_block;
-                    let dirty = (first..first + cfg.pages_per_block).any(|p| {
-                        !matches!(
-                            self.nand.page_state(PageAddr(p as u32)),
-                            Ok(PageState::Erased)
-                        )
-                    });
-                    if dirty {
-                        match self.nand.erase(block) {
-                            Ok(()) => {}
-                            Err(_) if self.nand.is_grown_bad(block) => {
-                                skip_block(self);
-                                continue 'attempt;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
                 }
                 let mut page = Vec::with_capacity(PAGE_HEADER + chunk.len());
                 MAGIC.encode_into(&mut page);
@@ -273,12 +245,7 @@ impl Wal {
                 let crc = crc32(&[&page[4..], chunk].concat());
                 crc.encode_into(&mut page);
                 page.extend_from_slice(chunk);
-                if cfg.ecc_enabled {
-                    page.resize(cfg.page_size - ecc::TAIL_BYTES, 0xFF);
-                    page.resize(cfg.page_size, 0);
-                    ecc::seal_page(&mut page);
-                    self.nand.clock().advance(cfg.ecc_cost_ns(cfg.page_size));
-                }
+                self.nand.frame(&mut page);
                 match self.nand.program(self.page_addr(idx), &page) {
                     Ok(()) => self.next_page += 1,
                     Err(_) if self.nand.is_grown_bad(block) => {
@@ -306,28 +273,34 @@ impl Wal {
         self.next_page = 0;
         self.appended_bytes = 0;
         self.records = 0;
-        let cfg = self.nand.config().clone();
         for b in self.first_block..self.first_block + self.blocks {
-            let block = BlockId(b as u32);
-            if self.nand.is_grown_bad(block) {
-                continue;
-            }
-            let first = b * cfg.pages_per_block;
-            let dirty = (first..first + cfg.pages_per_block).any(|p| {
-                !matches!(
-                    self.nand.page_state(PageAddr(p as u32)),
-                    Ok(PageState::Erased)
-                )
-            });
-            if dirty {
-                match self.nand.erase(block) {
-                    Ok(()) => {}
-                    Err(_) if self.nand.is_grown_bad(block) => continue,
-                    Err(e) => return Err(e),
-                }
-            }
+            self.erase_if_dirty(BlockId(b as u32))?;
         }
         Ok(())
+    }
+
+    /// Erase `block` if any of its pages is programmed. `false` when the
+    /// block is (or just grew) bad: appends skip it.
+    fn erase_if_dirty(&self, block: BlockId) -> Result<bool> {
+        if self.nand.is_grown_bad(block) {
+            return Ok(false);
+        }
+        let ppb = self.nand.config().pages_per_block;
+        let first = block.index() * ppb;
+        let dirty = (first..first + ppb).any(|p| {
+            !matches!(
+                self.nand.page_state(PageAddr(p as u32)),
+                Ok(PageState::Erased)
+            )
+        });
+        if !dirty {
+            return Ok(true);
+        }
+        match self.nand.erase(block) {
+            Ok(()) => Ok(true),
+            Err(_) if self.nand.is_grown_bad(block) => Ok(false),
+            Err(e) => Err(e),
+        }
     }
 
     /// Payload bytes appended since the last truncation.
@@ -365,8 +338,8 @@ macro_rules! encode_into {
 encode_into!(u32, u64);
 
 /// Validate one page against the mounted epoch and its own position;
-/// returns `(starts_record, payload)` for valid pages. `page` excludes
-/// the codeword tail (already verified by the caller).
+/// returns `(starts_record, payload)` for valid pages. `page` is the
+/// codec payload (codeword already checked by the caller).
 fn parse_page(page: &[u8], epoch: u64, seq: u32) -> Option<(bool, &[u8])> {
     if page.len() < PAGE_HEADER {
         return None;

@@ -960,52 +960,10 @@ impl HiddenStore {
         })
     }
 
-    /// Stream the row ids whose key falls in `range`, scanning the whole
-    /// column off flash (the paper's index-free fallback). Delta rows
-    /// are matched through their [`key_at`](Self::key_at) keys; prefer
-    /// [`predicate_scan`](Self::predicate_scan) for predicate semantics
-    /// over delta-dictionary strings.
-    pub fn filter_scan(
-        &self,
-        scope: &RamScope,
-        table: TableId,
-        column: ColumnId,
-        range: KeyRange,
-    ) -> Result<FilterScan> {
-        let (reader, width) = match self.store(table, column)? {
-            ColumnStore::Fixed { keys, .. } => (self.volume.reader(scope, keys)?, 8),
-            ColumnStore::Dict { codes, .. } => (self.volume.reader(scope, codes)?, 4),
-        };
-        let base = self.base_rows(table);
-        let mut tail = Vec::new();
-        for i in 0..self.delta_rows(table) {
-            let row = RowId(base + i);
-            if range.contains(self.key_at(table, column, row)?) {
-                tail.push(row);
-            }
-        }
-        let mut overrides = Vec::new();
-        for (&row, v) in &self.deltas[table.index()].overwrites[column.index()] {
-            overrides.push((row, range.contains(self.key_of_value(table, column, v)?)));
-        }
-        Ok(FilterScan {
-            reader,
-            width,
-            range,
-            next_row: 0,
-            rows: base,
-            scanned: 0,
-            overrides,
-            override_pos: 0,
-            tail,
-            tail_pos: 0,
-        })
-    }
-
-    /// Predicate-level scan: base rows filter through the key-space
-    /// reduction, delta rows by direct value comparison. This is the
-    /// delta-aware face of [`filter_scan`](Self::filter_scan) the
-    /// executor uses.
+    /// Stream the row ids matching `column op value`, scanning the whole
+    /// column off flash (the paper's index-free fallback). Base rows
+    /// filter through the key-space reduction, delta rows and
+    /// overwritten cells by direct value comparison.
     pub fn predicate_scan(
         &self,
         scope: &RamScope,
@@ -1571,7 +1529,7 @@ impl KeyScan {
 }
 
 /// Streaming filter over a hidden column (see
-/// [`HiddenStore::filter_scan`]).
+/// [`HiddenStore::predicate_scan`]).
 #[derive(Debug)]
 pub struct FilterScan {
     reader: SegmentReader,
@@ -1780,19 +1738,16 @@ mod tests {
     }
 
     #[test]
-    fn filter_scan_matches_reference() {
+    fn predicate_scan_matches_reference() {
         let (store, _, scope) = build();
-        let range = store
-            .key_range(
+        let scan = store
+            .predicate_scan(
+                &scope,
                 TableId(0),
                 ColumnId(2),
                 ScalarOp::Eq,
                 &Value::Text("Sclerosis".into()),
             )
-            .unwrap()
-            .unwrap();
-        let scan = store
-            .filter_scan(&scope, TableId(0), ColumnId(2), range)
             .unwrap();
         let got: Vec<u32> = scan.map(|r| r.unwrap().0).collect();
         let expect: Vec<u32> = (0..100).filter(|i| i % 4 == 3).collect();
@@ -1800,11 +1755,16 @@ mod tests {
     }
 
     #[test]
-    fn filter_scan_counts_tuples() {
+    fn predicate_scan_counts_tuples() {
         let (store, _, scope) = build();
-        let range = KeyRange { lo: 0, hi: 0 };
         let mut scan = store
-            .filter_scan(&scope, TableId(0), ColumnId(2), range)
+            .predicate_scan(
+                &scope,
+                TableId(0),
+                ColumnId(2),
+                ScalarOp::Eq,
+                &Value::Text("Checkup".into()),
+            )
             .unwrap();
         while scan.next_id().unwrap().is_some() {}
         assert_eq!(scan.scanned(), 100);
@@ -1911,11 +1871,14 @@ mod tests {
                 .unwrap(),
             Some(4)
         );
-        let range = store
-            .key_range(t, c, ScalarOp::Ge, &Value::Text("Zoster".into()))
+        let zoster = Value::Text("Zoster".into());
+        assert!(store
+            .key_range(t, c, ScalarOp::Ge, &zoster)
             .unwrap()
+            .is_some());
+        let scan = store
+            .predicate_scan(&scope, t, c, ScalarOp::Ge, &zoster)
             .unwrap();
-        let scan = store.filter_scan(&scope, t, c, range).unwrap();
         let got: Vec<u32> = scan.map(|r| r.unwrap().0).collect();
         assert_eq!(got, vec![101]);
         // Fixed column delta merged too.
@@ -1994,11 +1957,14 @@ mod tests {
             Value::Date(Date(10_025))
         );
         // "Zoster" is rank-encoded post-flush.
-        let range = store
-            .key_range(t, purpose, ScalarOp::Ge, &Value::Text("Zoster".into()))
+        let zoster = Value::Text("Zoster".into());
+        assert!(store
+            .key_range(t, purpose, ScalarOp::Ge, &zoster)
             .unwrap()
+            .is_some());
+        let scan = store
+            .predicate_scan(&scope, t, purpose, ScalarOp::Ge, &zoster)
             .unwrap();
-        let scan = store.filter_scan(&scope, t, purpose, range).unwrap();
         let got: Vec<u32> = scan.map(|r| r.unwrap().0).collect();
         assert_eq!(got, vec![5]);
     }

@@ -354,3 +354,40 @@ fn uninterrupted_run_remounts_complete() {
         assert_eq!(&db.query(sql).unwrap().rows.rows, expect);
     }
 }
+
+/// The sealed image depends only on the workload: the same seal →
+/// delete → flush → insert → flush sequence, run twice in one process,
+/// leaves identical translation tables. Pages freed while the old image
+/// holds them are released in LPN order, so the recycled logical page
+/// numbers cannot follow a per-process hash order.
+#[test]
+fn sealed_image_depends_only_on_the_workload() {
+    let run = || {
+        let mut config = config();
+        config.flash.pages_per_block = 32;
+        config.flash.meta_slot_blocks = 8;
+        let stmts = ghostdb_sql::parse_statements(DDL).unwrap();
+        let schema = ghostdb_sql::bind_schema(&stmts).unwrap();
+        let mut data = Dataset::empty(&schema);
+        for i in 0..BASE_DOCTORS {
+            data.push_row(TableId(0), doctor(i)).unwrap();
+        }
+        for i in 0..2_000 {
+            data.push_row(TableId(1), visit(i, BASE_DOCTORS)).unwrap();
+        }
+        let mut db = GhostDb::create(DDL, config, &data).unwrap();
+        db.seal().unwrap();
+        let doomed = (0..300).map(|i| RowId(i * 6)).collect();
+        db.delete_rows(TableId(1), doomed).unwrap();
+        db.flush_deltas().unwrap();
+        let fresh = (1_700..1_800).map(|i| visit(i, BASE_DOCTORS)).collect();
+        db.insert_rows(TableId(1), fresh).unwrap();
+        db.flush_deltas().unwrap();
+        db.volume().l2p_snapshot()
+    };
+    let first = run();
+    assert!(first.iter().filter(|&&p| p != u32::MAX).count() > 100);
+    for _ in 0..3 {
+        assert_eq!(run(), first);
+    }
+}

@@ -6,6 +6,7 @@
 mod common;
 
 use common::{assert_matches_reference, medical_db_with_data};
+use ghostdb_exec::{Plan, Source};
 use ghostdb_types::Date;
 use proptest::prelude::*;
 
@@ -47,6 +48,42 @@ fn all_plans_agree_across_selectivities() {
                 Some(n) => assert_eq!(out.rows.len(), n, "frac {frac}"),
             }
         }
+    }
+}
+
+/// Plan enumeration depends only on the query: two predicates on each
+/// of two non-anchor tables give a cross-filtering plan with two
+/// `CrossGroup` sources, and repeated `plans()` calls list the same
+/// plans with the same source order.
+#[test]
+fn plan_enumeration_is_deterministic() {
+    let (db, cfg, _data) = medical_db_with_data(2_000);
+    let cutoff = Date(cfg.date_start.0 + (cfg.date_span_days / 2) as i32);
+    let sql = format!(
+        "SELECT Pre.PreID FROM Prescription Pre, Visit Vis, Medicine Med \
+         WHERE Vis.Date > '{cutoff}' AND Vis.Purpose = 'Sclerosis' \
+           AND Med.Type = 'Antibiotic' AND Med.Effect = 'Analgesic' \
+           AND Med.MedID = Pre.MedID AND Vis.VisID = Pre.VisID"
+    );
+    let plans = || -> Vec<Plan> {
+        db.plans(&sql)
+            .unwrap()
+            .into_iter()
+            .map(|c| c.plan)
+            .collect()
+    };
+    let first = plans();
+    assert!(
+        first.iter().any(|p| p
+            .sources
+            .iter()
+            .filter(|s| matches!(s, Source::CrossGroup { .. }))
+            .count()
+            == 2),
+        "no plan cross-filters both tables"
+    );
+    for _ in 0..8 {
+        assert_eq!(plans(), first);
     }
 }
 
